@@ -66,7 +66,8 @@ for key in version input_root work_root event_workers priority \
 done
 
 # 3d. The serve-stats keys documented in docs/SERVE.md must still be
-#     emitted by the serve writer (the serve_stats.json schema).
+#     emitted by the serve writer (the serve_stats.json schema) — the
+#     breaker block's by the one breaker writer every report shares.
 for key in version uptime_seconds driver threads event_workers capacity \
            depth admitted served ok degraded quarantined malformed \
            duplicates in_flight events_per_second records_per_second \
@@ -75,9 +76,13 @@ for key in version uptime_seconds driver threads event_workers capacity \
            stolen_tasks injector_takes overflow parks wakes inline_runs \
            rejected_ops opens half_open_recoveries scan_errors \
            stats_write_failures; do
-  if ! grep -q "\"$key\"" src/pipeline/serve.cpp; then
+  case "$key" in
+    rejected_ops|opens|half_open_recoveries) writer=src/pipeline/report.cpp ;;
+    *) writer=src/pipeline/serve.cpp ;;
+  esac
+  if ! grep -q "\"$key\"" "$writer"; then
     echo "docs-rot: docs/SERVE.md documents serve-stats key '$key'" \
-         "but src/pipeline/serve.cpp no longer emits it" >&2
+         "but $writer no longer emits it" >&2
     fail=1
   fi
 done

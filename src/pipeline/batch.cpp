@@ -1,17 +1,13 @@
 #include "pipeline/batch.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <map>
 #include <mutex>
-#include <thread>
 
 #include "formats/v1.hpp"
-#include "pipeline/runner.hpp"
 #include "pipeline/scheduler.hpp"
 #include "pipeline/validate.hpp"
-#include "util/bounded_queue.hpp"
-#include "util/rng.hpp"
+#include "util/clock.hpp"
 
 namespace acx::pipeline {
 
@@ -95,11 +91,7 @@ Json BatchReport::to_json() const {
   root.set("records_per_second", records_per_second);
   root.set("points_per_second", points_per_second);
 
-  Json breaker = Json::object();
-  breaker.set("rejected_ops", static_cast<double>(breaker_rejected_ops));
-  breaker.set("opens", breaker_opens);
-  breaker.set("half_open_recoveries", breaker_half_open_recoveries);
-  root.set("breaker", std::move(breaker));
+  root.set("breaker", breaker_to_json(breaker));
 
   Json counts = Json::object();
   counts.set("events", static_cast<int>(events.size()));
@@ -155,19 +147,9 @@ Result<BatchReport, std::string> BatchReport::from_json_text(
     return std::string("batch report throughput fields negative or missing");
   }
 
-  const Json* breaker = root.find("breaker");
-  if (!breaker || !breaker->is_object()) {
-    return std::string("batch report has no breaker block");
-  }
-  report.breaker_rejected_ops =
-      static_cast<long long>(breaker->get_number("rejected_ops", -1));
-  report.breaker_opens = static_cast<int>(breaker->get_number("opens", -1));
-  report.breaker_half_open_recoveries =
-      static_cast<int>(breaker->get_number("half_open_recoveries", -1));
-  if (report.breaker_rejected_ops < 0 || report.breaker_opens < 0 ||
-      report.breaker_half_open_recoveries < 0) {
-    return std::string("batch report breaker counters negative or missing");
-  }
+  auto breaker = breaker_from_json(root);
+  if (!breaker.ok()) return "batch report " + breaker.error();
+  report.breaker = breaker.value();
 
   const Json* evs = root.find("events");
   if (!evs || !evs->is_array()) {
@@ -204,22 +186,12 @@ Result<BatchReport, std::string> BatchReport::from_json_text(
 }
 
 BatchRunner::BatchRunner(FileSystem& fs, BatchConfig config)
-    : fs_(fs), cfg_(std::move(config)) {
-  if (cfg_.event_workers < 1) cfg_.event_workers = 1;
-  if (cfg_.shards < 1) cfg_.shards = 1;
-  if (!cfg_.runner.sleep) {
-    cfg_.runner.sleep = [](int ms) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-    };
-  }
-}
+    : fs_(fs), cfg_(std::move(config)) {}
 
 Result<std::vector<EventJob>, IoError> BatchRunner::discover(
-    const stdfs::path& input_root, const stdfs::path& work_root) {
-  auto tree = run_with_retry<std::vector<stdfs::path>, IoError>(
-      cfg_.runner.retry, cfg_.runner.sleep,
-      [](const IoError& e) { return e.klass; },
-      [&] { return fs_.list_tree(input_root); });
+    const stdfs::path& input_root) {
+  auto tree = retry_io<std::vector<stdfs::path>>(
+      cfg_.runner, [&] { return fs_.list_tree(input_root); });
   if (!tree.ok()) return std::move(tree).take_error();
 
   // Group the records by their holding directory: every directory with
@@ -234,15 +206,11 @@ Result<std::vector<EventJob>, IoError> BatchRunner::discover(
     if (id.empty() || id == ".") id = "root";
     std::replace(id.begin(), id.end(), '/', '_');
     EventJob& job = events[id];
-    if (job.event.empty()) {
-      job.event = id;
-      job.input_dir = dir;
-      const std::string shard =
-          "s" + std::to_string(fnv1a64(id) % static_cast<std::uint64_t>(
-                                                 cfg_.shards));
-      job.work_dir = work_root / "events" / shard / id;
-    }
-    job.input_bytes += fs_.file_size(p);
+    job.event = id;
+    job.input_dir = dir;
+    // Summed record bytes: the largest/smallest-first key, and a cheap
+    // straggler predictor.
+    job.priority_bytes += fs_.file_size(p);
   }
 
   std::vector<EventJob> out;
@@ -270,43 +238,16 @@ bool BatchRunner::try_resume(const EventJob& job, EventOutcome& out) {
 }
 
 EventOutcome BatchRunner::run_one(const EventJob& job) {
-  EventOutcome out;
-  out.event = job.event;
-  out.work_dir = job.work_dir.string();
-
-  // A fresh (or crashed) event starts from a clean slate: a half-written
-  // work dir from a killed run must not leak partial state into this one.
-  (void)fs_.remove_all(job.work_dir);
-
-  const auto started = std::chrono::steady_clock::now();
-  StageRunner runner(fs_, cfg_.runner);
-  auto report = runner.run_event(job.input_dir, job.work_dir);
-  out.seconds = std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - started)
-                    .count();
-  if (!report.ok()) {
-    // Run-level failure (work dir unusable, report unwritable): the
-    // event is quarantined as a whole and — deliberately — left
-    // unjournaled, so the next resume retries it.
-    out.status = "quarantined";
-    out.error = reason_slug(report.error());
-    return out;
-  }
-  const RunReport& r = report.value();
-  out.status = r.status();
-  out.records_ok = r.count_ok();
-  out.records_degraded = r.count_degraded();
-  out.records_quarantined = r.count_quarantined();
-  out.points = r.total_points();
+  EventOutcome out = run_event_job(fs_, cfg_.runner, job);
+  // A run-level failure is deliberately left unjournaled, so the next
+  // resume retries it.
+  if (!out.error.empty()) return out;
 
   // Journal last: its (atomic) existence certifies the report landed.
-  auto wrote = run_with_retry<Unit, IoError>(
-      cfg_.runner.retry, cfg_.runner.sleep,
-      [](const IoError& e) { return e.klass; },
-      [&] {
-        return atomic_write_file(fs_, journal_dir_ / (job.event + ".json"),
-                                 outcome_to_json(out).dump(2));
-      });
+  auto wrote = retry_io<Unit>(cfg_.runner, [&] {
+    return atomic_write_file(fs_, journal_dir_ / (job.event + ".json"),
+                             outcome_to_json(out).dump(2));
+  });
   if (!wrote.ok()) {
     out.status = "quarantined";
     out.error = reason_slug(wrote.error());
@@ -316,67 +257,30 @@ EventOutcome BatchRunner::run_one(const EventJob& job) {
 
 Result<BatchReport, IoError> BatchRunner::run(const stdfs::path& input_root,
                                               const stdfs::path& work_root) {
-  const auto run_started = std::chrono::steady_clock::now();
+  const double run_started = steady_now_seconds();
   journal_dir_ = work_root / "journal";
-  const stdfs::path dirs[] = {work_root / "events", journal_dir_};
-  for (const stdfs::path& dir : dirs) {
-    auto made = run_with_retry<Unit, IoError>(
-        cfg_.runner.retry, cfg_.runner.sleep,
-        [](const IoError& e) { return e.klass; },
-        [&] { return fs_.create_directories(dir); });
-    if (!made.ok()) return std::move(made).take_error();
-  }
+  auto made =
+      create_dirs(fs_, cfg_.runner, {work_root / "events", journal_dir_});
+  if (!made.ok()) return std::move(made).take_error();
 
-  auto discovered = discover(input_root, work_root);
+  auto discovered = discover(input_root);
   if (!discovered.ok()) return std::move(discovered).take_error();
-  const std::vector<EventJob> jobs = std::move(discovered).take();
+  std::vector<EventJob> jobs = std::move(discovered).take();
 
-  const storage::BreakerCounters breaker_before =
-      cfg_.runner.breaker ? cfg_.runner.breaker->counters()
-                          : storage::BreakerCounters{};
-
-  struct QueuedJob {
-    const EventJob* job = nullptr;
-    std::size_t index = 0;
-  };
-  const BatchConfig::Priority priority = cfg_.priority;
-  auto less = [priority](const QueuedJob& a, const QueuedJob& b) {
-    switch (priority) {
-      case BatchConfig::Priority::kLargest:
-        return a.job->input_bytes < b.job->input_bytes;
-      case BatchConfig::Priority::kSmallest:
-        return a.job->input_bytes > b.job->input_bytes;
-      case BatchConfig::Priority::kFifo: break;
-    }
-    return false;  // equal priority everywhere: pure FIFO
-  };
-  BoundedPriorityQueue<QueuedJob, decltype(less)> queue(cfg_.queue_capacity,
-                                                        less);
-
-  std::vector<EventOutcome> outcomes(jobs.size());
-  const int workers = std::min(
-      cfg_.event_workers,
-      static_cast<int>(std::max<std::size_t>(jobs.size(), 1)));
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (int w = 0; w < workers; ++w) {
-    pool.emplace_back([&] {
-      while (auto q = queue.pop()) {
-        EventOutcome& out = outcomes[q->index];
-        if (cfg_.resume && try_resume(*q->job, out)) continue;
-        out = run_one(*q->job);
-      }
-    });
-  }
-
-  // Admission: the producer blocks once queue_capacity events are
-  // pending — backpressure against a stalled worker pool. The queue
-  // only closes after this loop, so every push is accepted.
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (queue.push(QueuedJob{&jobs[i], i}) == QueuePushResult::kClosed) break;
-  }
-  queue.close();
-  for (std::thread& t : pool) t.join();
+  const storage::BreakerWindow breaker(cfg_.runner.breaker);
+  std::mutex mu;
+  std::vector<EventOutcome> outcomes;
+  const int workers =
+      std::min(cfg_.event_workers, static_cast<int>(jobs.size()));
+  EventEngine engine(cfg_, work_root, workers, [&](const EventJob& job) {
+    EventOutcome out;
+    if (!cfg_.resume || !try_resume(job, out)) out = run_one(job);
+    std::lock_guard<std::mutex> lock(mu);
+    outcomes.push_back(std::move(out));
+  });
+  // The engine only closes in drain(), so every admit is accepted.
+  for (EventJob& job : jobs) engine.admit(std::move(job));
+  engine.drain();
 
   BatchReport report;
   report.input_root = input_root.string();
@@ -385,7 +289,7 @@ Result<BatchReport, IoError> BatchRunner::run(const stdfs::path& input_root,
   report.threads =
       is_parallel(cfg_.runner.driver) ? resolve_threads(cfg_.runner.threads)
                                       : 1;
-  report.event_workers = workers;
+  report.event_workers = engine.workers();
   report.priority = to_string(cfg_.priority);
   report.events = std::move(outcomes);
   std::sort(report.events.begin(), report.events.end(),
@@ -393,9 +297,7 @@ Result<BatchReport, IoError> BatchRunner::run(const stdfs::path& input_root,
               return a.event < b.event;
             });
 
-  report.total_seconds = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - run_started)
-                             .count();
+  report.total_seconds = steady_now_seconds() - run_started;
   // Sustained throughput counts only the events this run actually
   // processed; resumed events were free and would flatter the rate.
   long long fresh_records = 0, fresh_points = 0;
@@ -410,22 +312,12 @@ Result<BatchReport, IoError> BatchRunner::run(const stdfs::path& input_root,
     report.points_per_second =
         static_cast<double>(fresh_points) / report.total_seconds;
   }
-  if (cfg_.runner.breaker) {
-    const storage::BreakerCounters after = cfg_.runner.breaker->counters();
-    report.breaker_rejected_ops =
-        after.rejected_ops - breaker_before.rejected_ops;
-    report.breaker_opens = after.opens - breaker_before.opens;
-    report.breaker_half_open_recoveries =
-        after.half_open_recoveries - breaker_before.half_open_recoveries;
-  }
+  report.breaker = breaker.delta();
 
-  auto wrote = run_with_retry<Unit, IoError>(
-      cfg_.runner.retry, cfg_.runner.sleep,
-      [](const IoError& e) { return e.klass; },
-      [&] {
-        return atomic_write_file(fs_, work_root / kBatchReportFileName,
-                                 report.dump());
-      });
+  auto wrote = retry_io<Unit>(cfg_.runner, [&] {
+    return atomic_write_file(fs_, work_root / kBatchReportFileName,
+                             report.dump());
+  });
   if (!wrote.ok()) return std::move(wrote).take_error();
   return report;
 }

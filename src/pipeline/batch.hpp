@@ -1,13 +1,11 @@
 #pragma once
 
-#include <cstdint>
 #include <filesystem>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "pipeline/config.hpp"
+#include "pipeline/engine.hpp"
 #include "pipeline/report.hpp"
 #include "util/fs.hpp"
 #include "util/json.hpp"
@@ -15,81 +13,15 @@
 
 namespace acx::pipeline {
 
-// One event queued for processing: a directory of *.v1 records under
-// the input root, bound to its sharded work dir.
-struct EventJob {
-  std::string event;                // event id (input subdir name)
-  std::filesystem::path input_dir;  // the directory holding its records
-  std::filesystem::path work_dir;   // <work_root>/events/<shard>/<event>
-  // Summed record bytes: the priority key of the largest/smallest-first
-  // policies, and a cheap straggler predictor.
-  std::uintmax_t input_bytes = 0;
-};
-
-// The multi-event batch layer over StageRunner (docs/BATCH.md). Two
-// scheduling axes compose: `event_workers` threads pull events off a
-// bounded priority queue (inter-event), each running the configured
-// driver's record fan-out inside the event (intra-event).
-struct BatchConfig {
-  // Per-event pipeline configuration, deadline budget included. The
-  // breaker pointer, when set, also feeds the batch-level counters.
-  RunnerConfig runner;
-  // Inter-event concurrency; each worker drives one StageRunner at a
-  // time. 1 = events run strictly one after another.
-  int event_workers = 1;
-  // Bound of the event queue. The producer blocks once this many events
-  // are admitted but not yet claimed — backpressure, so a stalled
-  // worker pool cannot accumulate unbounded queued state.
-  std::size_t queue_capacity = 4;
-  // Work dirs are sharded <work_root>/events/<fnv1a64(event) % shards>/
-  // so a million-event batch does not pile every work dir into one
-  // directory.
-  int shards = 16;
-  // Which admitted event a freed worker claims next.
-  enum class Priority {
-    kFifo,      // admission order
-    kLargest,   // most input bytes first (straggler avoidance)
-    kSmallest,  // fewest input bytes first (fast first results)
-  };
-  Priority priority = Priority::kFifo;
+// The multi-event batch layer (docs/BATCH.md): the event engine over a
+// fixed source — every directory holding *.v1 records is one event,
+// discovered once, drained, then reported.
+struct BatchConfig : EngineConfig {
   // Resume mode: an event whose journal entry exists and whose work dir
   // still validates is skipped, its prior report taken as-is (and its
   // canonical projection therefore byte-identical). false reprocesses
   // everything.
   bool resume = true;
-};
-
-inline const char* to_string(BatchConfig::Priority p) {
-  switch (p) {
-    case BatchConfig::Priority::kFifo: return "fifo";
-    case BatchConfig::Priority::kLargest: return "largest";
-    case BatchConfig::Priority::kSmallest: return "smallest";
-  }
-  return "fifo";
-}
-
-inline std::optional<BatchConfig::Priority> parse_priority(
-    std::string_view name) {
-  if (name == "fifo") return BatchConfig::Priority::kFifo;
-  if (name == "largest") return BatchConfig::Priority::kLargest;
-  if (name == "smallest") return BatchConfig::Priority::kSmallest;
-  return std::nullopt;
-}
-
-// One event's row in the batch report.
-struct EventOutcome {
-  std::string event;
-  // "ok" | "degraded" | "quarantined" — the event report's status, or
-  // "quarantined" when the run itself failed (see `error`).
-  std::string status = "ok";
-  bool resumed = false;   // skipped: a prior run's report validated
-  std::string error;      // run-level failure slug; empty when the run ran
-  std::string work_dir;
-  int records_ok = 0;
-  int records_degraded = 0;
-  int records_quarantined = 0;
-  long long points = 0;   // published data points
-  double seconds = 0;     // wall clock of this event's run (0 if resumed)
 };
 
 // The machine-readable outcome of one batch, written atomically to
@@ -110,9 +42,7 @@ struct BatchReport {
   double points_per_second = 0;
   // Breaker counter deltas across the whole batch (zero when no
   // breaker is wired into the filesystem stack).
-  long long breaker_rejected_ops = 0;
-  int breaker_opens = 0;
-  int breaker_half_open_recoveries = 0;
+  storage::BreakerCounters breaker;
   std::vector<EventOutcome> events;  // sorted by event id
 
   int count_status(std::string_view status) const;
@@ -127,8 +57,8 @@ struct BatchReport {
 inline constexpr const char* kBatchReportFileName = "batch_report.json";
 
 // Drives a whole batch: discovers events (directories holding *.v1
-// records anywhere under input_root), admits them to the bounded queue
-// under the configured priority, and runs them on the worker pool.
+// records anywhere under input_root) and runs them on the event engine
+// under the configured priority.
 //
 // Work-root layout:
 //   <work>/events/<shard>/<event>/   one StageRunner work dir per event
@@ -149,8 +79,7 @@ class BatchRunner {
 
  private:
   Result<std::vector<EventJob>, IoError> discover(
-      const std::filesystem::path& input_root,
-      const std::filesystem::path& work_root);
+      const std::filesystem::path& input_root);
   // True when the event's journal entry and work dir both check out, so
   // the event can be skipped on resume. Fills `out` from the journal.
   bool try_resume(const EventJob& job, EventOutcome& out);

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <filesystem>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -114,8 +116,8 @@ struct RunnerConfig {
   // report carries speedup_vs_sequential = baseline / this run.
   double baseline_total_seconds = 0;
   RetryPolicy retry;
-  // Backoff sleep; defaults to a real sleep, tests inject a no-op.
-  SleepFn sleep;
+  // Backoff sleep; tests inject a no-op.
+  SleepFn sleep = sleep_ms;
   // Per-event wall-clock budget (util/clock.hpp). Soft expiry sheds the
   // graph's sheddable stages (record published as degraded); hard
   // expiry quarantines unfinished records as batch.deadline_hard and
@@ -146,5 +148,24 @@ struct RunnerConfig {
   // drivers only; the parallel drivers always keep going.
   bool keep_going = true;
 };
+
+// One storage touch `fn` (returning Result<T, IoError>) under the
+// runner's transient-retry policy and backoff sleep.
+template <class T, class Fn>
+Result<T, IoError> retry_io(const RunnerConfig& cfg, Fn fn) {
+  return run_with_retry<T, IoError>(
+      cfg.retry, cfg.sleep, [](const IoError& e) { return e.klass; }, fn);
+}
+
+// Creates each directory, retried under the runner's policy.
+inline Result<Unit, IoError> create_dirs(
+    FileSystem& fs, const RunnerConfig& cfg,
+    std::initializer_list<std::filesystem::path> dirs) {
+  for (const std::filesystem::path& dir : dirs) {
+    auto made = retry_io<Unit>(cfg, [&] { return fs.create_directories(dir); });
+    if (!made.ok()) return made;
+  }
+  return Unit{};
+}
 
 }  // namespace acx::pipeline

@@ -242,9 +242,8 @@ void RecordExecutor::quarantine_record(const stdfs::path& quarantine_dir,
   }
   const stdfs::path dest =
       quarantine_dir / (outcome.record + "." + outcome.reason);
-  auto wrote = run_with_retry<Unit, IoError>(
-      cfg_.retry, cfg_.sleep, [](const IoError& e) { return e.klass; },
-      [&] { return atomic_write_file(fs_, dest, content); });
+  auto wrote = retry_io<Unit>(
+      cfg_, [&] { return atomic_write_file(fs_, dest, content); });
   if (wrote.ok()) outcome.quarantine = dest.string();
 }
 

@@ -262,11 +262,7 @@ Json RunReport::to_json() const {
   deadline.set("hard_stops", deadline_hard_stops());
   root.set("deadline", std::move(deadline));
 
-  Json breaker = Json::object();
-  breaker.set("rejected_ops", static_cast<double>(breaker_rejected_ops));
-  breaker.set("opens", breaker_opens);
-  breaker.set("half_open_recoveries", breaker_half_open_recoveries);
-  root.set("breaker", std::move(breaker));
+  root.set("breaker", breaker_to_json(breaker));
 
   Json totals = Json::object();
   for (const auto& [stage, seconds] : stage_totals()) {
@@ -706,19 +702,9 @@ Result<RunReport, std::string> RunReport::from_json_text(
   }
 
   // v6 breaker block: non-negative counter deltas.
-  const Json* breaker = root.find("breaker");
-  if (!breaker || !breaker->is_object()) {
-    return std::string("run report has no breaker block");
-  }
-  report.breaker_rejected_ops =
-      static_cast<long long>(breaker->get_number("rejected_ops", -1));
-  report.breaker_opens = static_cast<int>(breaker->get_number("opens", -1));
-  report.breaker_half_open_recoveries =
-      static_cast<int>(breaker->get_number("half_open_recoveries", -1));
-  if (report.breaker_rejected_ops < 0 || report.breaker_opens < 0 ||
-      report.breaker_half_open_recoveries < 0) {
-    return std::string("run report breaker counters are negative or missing");
-  }
+  auto breaker = breaker_from_json(root);
+  if (!breaker.ok()) return "run report " + breaker.error();
+  report.breaker = breaker.value();
 
   // The stage_totals block must agree with the per-stage seconds in the
   // records array (within float-formatting slack).
@@ -800,6 +786,32 @@ Result<RunReport, std::string> RunReport::from_json_text(
     }
   }
   return report;
+}
+
+Json breaker_to_json(const storage::BreakerCounters& c) {
+  Json breaker = Json::object();
+  breaker.set("rejected_ops", static_cast<double>(c.rejected_ops));
+  breaker.set("opens", c.opens);
+  breaker.set("half_open_recoveries", c.half_open_recoveries);
+  return breaker;
+}
+
+Result<storage::BreakerCounters, std::string> breaker_from_json(
+    const Json& root) {
+  const Json* breaker = root.find("breaker");
+  if (!breaker || !breaker->is_object()) {
+    return std::string("has no breaker block");
+  }
+  storage::BreakerCounters c;
+  c.rejected_ops =
+      static_cast<long long>(breaker->get_number("rejected_ops", -1));
+  c.opens = static_cast<int>(breaker->get_number("opens", -1));
+  c.half_open_recoveries =
+      static_cast<int>(breaker->get_number("half_open_recoveries", -1));
+  if (c.rejected_ops < 0 || c.opens < 0 || c.half_open_recoveries < 0) {
+    return std::string("breaker counters are negative or missing");
+  }
+  return c;
 }
 
 }  // namespace acx::pipeline

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "util/breaker.hpp"
 #include "util/json.hpp"
 #include "util/result.hpp"
 
@@ -140,9 +141,7 @@ struct RunReport {
   // no BreakerFileSystem is in the stack).
   double deadline_soft_seconds = 0;
   double deadline_hard_seconds = 0;
-  long long breaker_rejected_ops = 0;
-  int breaker_opens = 0;
-  int breaker_half_open_recoveries = 0;
+  storage::BreakerCounters breaker;
   std::vector<RecordOutcome> records;
   std::vector<StationOutcome> stations;  // v7, one per station
 
@@ -195,5 +194,12 @@ struct RunReport {
 };
 
 inline constexpr const char* kRunReportFileName = "run_report.json";
+
+// The breaker block every report carries (run report, batch report,
+// serve stats): {rejected_ops, opens, half_open_recoveries}. The strict
+// reader rejects a missing block or a negative or missing counter.
+Json breaker_to_json(const storage::BreakerCounters& c);
+Result<storage::BreakerCounters, std::string> breaker_from_json(
+    const Json& root);
 
 }  // namespace acx::pipeline

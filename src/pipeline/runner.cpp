@@ -1,10 +1,8 @@
 #include "pipeline/runner.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstddef>
 #include <map>
-#include <thread>
 
 #include "formats/component_set.hpp"
 #include "formats/v1.hpp"
@@ -18,17 +16,11 @@ namespace acx::pipeline {
 namespace stdfs = std::filesystem;
 
 StageRunner::StageRunner(FileSystem& fs, RunnerConfig config)
-    : fs_(fs), cfg_(std::move(config)) {
-  if (!cfg_.sleep) {
-    cfg_.sleep = [](int ms) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-    };
-  }
-}
+    : fs_(fs), cfg_(std::move(config)) {}
 
 Result<RunReport, IoError> StageRunner::run_event(const stdfs::path& input_dir,
                                                   const stdfs::path& work_dir) {
-  const auto run_started = std::chrono::steady_clock::now();
+  const double run_started = steady_now_seconds();
   // The reported team size: the pool driver's is the shared pool's real
   // worker count when one is wired in (the resident service), otherwise
   // the transient pool it will spin up.
@@ -45,16 +37,13 @@ Result<RunReport, IoError> StageRunner::run_event(const stdfs::path& input_dir,
   report.driver = to_string(cfg_.driver);
   report.threads = threads;
 
-  for (const char* sub : {"out", "quarantine", "scratch"}) {
-    auto made = run_with_retry<Unit, IoError>(
-        cfg_.retry, cfg_.sleep, [](const IoError& e) { return e.klass; },
-        [&] { return fs_.create_directories(work_dir / sub); });
-    if (!made.ok()) return std::move(made).take_error();
-  }
+  auto made = create_dirs(fs_, cfg_,
+                          {work_dir / "out", work_dir / "quarantine",
+                           work_dir / "scratch"});
+  if (!made.ok()) return std::move(made).take_error();
 
-  auto listed = run_with_retry<std::vector<stdfs::path>, IoError>(
-      cfg_.retry, cfg_.sleep, [](const IoError& e) { return e.klass; },
-      [&] { return fs_.list_dir(input_dir); });
+  auto listed = retry_io<std::vector<stdfs::path>>(
+      cfg_, [&] { return fs_.list_dir(input_dir); });
   if (!listed.ok()) return std::move(listed).take_error();
 
   // The full driver's response stage runs its period loop as the nested
@@ -83,8 +72,7 @@ Result<RunReport, IoError> StageRunner::run_event(const stdfs::path& input_dir,
   exec.set_deadline(&deadline);
   report.deadline_soft_seconds = cfg_.deadline.soft_seconds;
   report.deadline_hard_seconds = cfg_.deadline.hard_seconds;
-  const storage::BreakerCounters breaker_before =
-      cfg_.breaker ? cfg_.breaker->counters() : storage::BreakerCounters{};
+  const storage::BreakerWindow breaker(cfg_.breaker);
 
   // Sorted inputs give a deterministic slot order, so the report (and
   // the fail-fast stopping point of the sequential drivers) does not
@@ -113,9 +101,8 @@ Result<RunReport, IoError> StageRunner::run_event(const stdfs::path& input_dir,
   std::vector<bool> parsed(slots.size(), false);
   std::vector<formats::RecordHeader> headers(slots.size());
   for (std::size_t i = 0; i < slots.size(); ++i) {
-    auto rd = run_with_retry<std::string, IoError>(
-        cfg_.retry, cfg_.sleep, [](const IoError& e) { return e.klass; },
-        [&] { return fs_.read_file(inputs[i]); });
+    auto rd =
+        retry_io<std::string>(cfg_, [&] { return fs_.read_file(inputs[i]); });
     if (!rd.ok()) continue;
     auto hdr = formats::read_v1_header(rd.value());
     if (!hdr.ok()) continue;
@@ -293,29 +280,18 @@ Result<RunReport, IoError> StageRunner::run_event(const stdfs::path& input_dir,
 
   (void)fs_.remove_all(work_dir / "scratch");
 
-  const std::chrono::duration<double> run_elapsed =
-      std::chrono::steady_clock::now() - run_started;
-  report.total_seconds = run_elapsed.count();
+  report.total_seconds = steady_now_seconds() - run_started;
   if (cfg_.baseline_total_seconds > 0 && report.total_seconds > 0) {
     report.speedup_vs_sequential =
         cfg_.baseline_total_seconds / report.total_seconds;
   }
-  if (cfg_.breaker) {
-    const storage::BreakerCounters after = cfg_.breaker->counters();
-    report.breaker_rejected_ops =
-        after.rejected_ops - breaker_before.rejected_ops;
-    report.breaker_opens = after.opens - breaker_before.opens;
-    report.breaker_half_open_recoveries =
-        after.half_open_recoveries - breaker_before.half_open_recoveries;
-  }
+  report.breaker = breaker.delta();
   report.sort_records();
 
-  auto wrote = run_with_retry<Unit, IoError>(
-      cfg_.retry, cfg_.sleep, [](const IoError& e) { return e.klass; },
-      [&] {
-        return atomic_write_file(fs_, work_dir / kRunReportFileName,
-                                 report.dump());
-      });
+  auto wrote = retry_io<Unit>(cfg_, [&] {
+    return atomic_write_file(fs_, work_dir / kRunReportFileName,
+                             report.dump());
+  });
   if (!wrote.ok()) return std::move(wrote).take_error();
   return report;
 }

@@ -55,15 +55,36 @@ class SequentialScheduler final : public Scheduler {
   bool keep_going_;
 };
 
+// The two OpenMP drivers share their station phase: one
+// schedule(dynamic, 1) loop over the eligible stations, whole stations
+// across the team. Under the full driver the rotd kernel's own angle
+// loop is the nested level, like the response stage's period loop.
+class OmpScheduler : public Scheduler {
+ public:
+  explicit OmpScheduler(int threads) : threads_(threads) {}
+
+  void run_stations(RecordExecutor& exec,
+                    std::vector<StationSlot*>& slots) override {
+    const long long n = static_cast<long long>(slots.size());
+#pragma omp parallel for schedule(dynamic, 1) num_threads(threads_)
+    for (long long i = 0; i < n; ++i) {
+      exec.run_station(*slots[static_cast<std::size_t>(i)]);
+    }
+  }
+
+ protected:
+  int threads_;
+};
+
 // §V of the paper: stage-by-stage over the pruned plan, each
 // parallel-safe stage fanned across records with an OpenMP loop and an
 // implicit barrier before the next stage; stages not marked
 // parallel-safe (none in the current chain, but the graph allows them)
 // run serially. Scratch setup and finalization stay serial — they are
 // cheap, and serial finalization keeps quarantine writes ordered.
-class PartialParallelScheduler final : public Scheduler {
+class PartialParallelScheduler final : public OmpScheduler {
  public:
-  explicit PartialParallelScheduler(int threads) : threads_(threads) {}
+  using OmpScheduler::OmpScheduler;
 
   void run(RecordExecutor& exec, std::vector<RecordSlot>& slots,
            const stdfs::path& work_dir) override {
@@ -81,20 +102,6 @@ class PartialParallelScheduler final : public Scheduler {
     }
     for (RecordSlot& slot : slots) exec.finalize(slot, work_dir);
   }
-
-  // Station fan-out: one OpenMP loop over the eligible stations, the
-  // stage-level analogue of the per-stage record loops above.
-  void run_stations(RecordExecutor& exec,
-                    std::vector<StationSlot*>& slots) override {
-    const long long n = static_cast<long long>(slots.size());
-#pragma omp parallel for schedule(dynamic, 1) num_threads(threads_)
-    for (long long i = 0; i < n; ++i) {
-      exec.run_station(*slots[static_cast<std::size_t>(i)]);
-    }
-  }
-
- private:
-  int threads_;
 };
 
 // §VI of the paper: record-level fan-out — each thread takes whole
@@ -112,9 +119,9 @@ class PartialParallelScheduler final : public Scheduler {
 // the run; bench_pipeline's full-driver bench measures the effect (see
 // docs/PERF.md). Only the issue order changes — outcomes land in their
 // original slots and the report is sorted by id regardless.
-class FullParallelScheduler final : public Scheduler {
+class FullParallelScheduler final : public OmpScheduler {
  public:
-  explicit FullParallelScheduler(int threads) : threads_(threads) {}
+  using OmpScheduler::OmpScheduler;
 
   void run(RecordExecutor& exec, std::vector<RecordSlot>& slots,
            const stdfs::path& work_dir) override {
@@ -126,21 +133,6 @@ class FullParallelScheduler final : public Scheduler {
       exec.run_record(slots[order[static_cast<std::size_t>(i)]], work_dir);
     }
   }
-
-  // Station fan-out mirrors the record fan-out: whole stations across
-  // the team. The rotd kernel's own angle loop is the nested level,
-  // like the response stage's period loop (max_active_levels is 2).
-  void run_stations(RecordExecutor& exec,
-                    std::vector<StationSlot*>& slots) override {
-    const long long n = static_cast<long long>(slots.size());
-#pragma omp parallel for schedule(dynamic, 1) num_threads(threads_)
-    for (long long i = 0; i < n; ++i) {
-      exec.run_station(*slots[static_cast<std::size_t>(i)]);
-    }
-  }
-
- private:
-  int threads_;
 };
 
 // The resident-service driver (docs/SERVE.md): record-level fan-out
@@ -155,39 +147,27 @@ class FullParallelScheduler final : public Scheduler {
 // the canonical report is byte-identical to the sequential drivers'.
 class PoolScheduler final : public Scheduler {
  public:
+  // One-shot mode (acx_process --driver pool, no shared pool): a
+  // transient pool for this run's record and station phases — the
+  // resident service wires a process-lifetime pool in instead.
   PoolScheduler(WorkPool* shared, int threads)
-      : shared_(shared), threads_(threads) {}
+      : owned_(shared ? nullptr : std::make_unique<WorkPool>(threads)),
+        pool_(shared ? *shared : *owned_) {}
 
   void run(RecordExecutor& exec, std::vector<RecordSlot>& slots,
            const stdfs::path& work_dir) override {
-    WorkPool* pool = shared_;
-    std::unique_ptr<WorkPool> transient;
-    if (!pool) {
-      // One-shot mode (acx_process --driver pool): pay the spin-up this
-      // run — the resident service wires a process-lifetime pool in.
-      transient = std::make_unique<WorkPool>(threads_);
-      pool = transient.get();
-    }
-    const std::vector<std::size_t> order = longest_first_order(slots);
-    WorkPool::TaskGroup group(*pool);
-    for (std::size_t idx : order) {
+    WorkPool::TaskGroup group(pool_);
+    for (std::size_t idx : longest_first_order(slots)) {
       RecordSlot& slot = slots[idx];
       group.run([&exec, &slot, &work_dir] { exec.run_record(slot, work_dir); });
     }
     group.wait();
   }
 
-  // Station fan-out onto the pool: one task per eligible station, same
-  // one-shot/resident split as the record phase.
+  // Station fan-out onto the same pool: one task per eligible station.
   void run_stations(RecordExecutor& exec,
                     std::vector<StationSlot*>& slots) override {
-    WorkPool* pool = shared_;
-    std::unique_ptr<WorkPool> transient;
-    if (!pool) {
-      transient = std::make_unique<WorkPool>(threads_);
-      pool = transient.get();
-    }
-    WorkPool::TaskGroup group(*pool);
+    WorkPool::TaskGroup group(pool_);
     for (StationSlot* slot : slots) {
       group.run([&exec, slot] { exec.run_station(*slot); });
     }
@@ -195,8 +175,8 @@ class PoolScheduler final : public Scheduler {
   }
 
  private:
-  WorkPool* shared_;
-  int threads_;
+  std::unique_ptr<WorkPool> owned_;
+  WorkPool& pool_;
 };
 
 }  // namespace

@@ -1,17 +1,17 @@
 #include "pipeline/serve.hpp"
 
+#include <fcntl.h>
+#include <sys/file.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <thread>
+#include <utility>
 #include <vector>
 
-#include "pipeline/runner.hpp"
 #include "pipeline/scheduler.hpp"
-#include "util/bounded_queue.hpp"
 #include "util/clock.hpp"
-#include "util/retry.hpp"
-#include "util/rng.hpp"
-#include "util/work_pool.hpp"
 
 namespace acx::pipeline {
 
@@ -44,7 +44,38 @@ Json sample_to_json(const ServeEventSample& s) {
   return j;
 }
 
-constexpr ErrorClass classify_io(const IoError& e) { return e.klass; }
+// A non-blocking flock(2) on a claim dir's owner.lock. The owner holds
+// it for its whole lifetime and the kernel drops it when the process
+// dies, so whoever can take it knows the owner is dead — whatever pid
+// it had. Liveness needs a kernel-held lock, so this is the one spool
+// touch that bypasses FileSystem.
+class OwnerLock {
+ public:
+  OwnerLock(const stdfs::path& path, bool create)
+      : fd_(::open(path.c_str(), O_RDWR | O_CLOEXEC | (create ? O_CREAT : 0),
+                   0644)) {
+    if (fd_ >= 0 && ::flock(fd_, LOCK_EX | LOCK_NB) != 0) {
+      ::close(std::exchange(fd_, -1));
+    }
+  }
+  ~OwnerLock() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  OwnerLock(const OwnerLock&) = delete;
+  OwnerLock& operator=(const OwnerLock&) = delete;
+  bool held() const { return fd_ >= 0; }
+
+ private:
+  int fd_;
+};
+
+// Unique per service instance: the pid alone could name a dead
+// instance's claim dir after pid reuse.
+std::string owner_id() {
+  return std::to_string(::getpid()) + "-" +
+         std::to_string(
+             std::chrono::system_clock::now().time_since_epoch().count());
+}
 
 }  // namespace
 
@@ -82,8 +113,7 @@ Json ServeStats::to_json() const {
   Json sustained = Json::object();
   const double up = uptime_seconds > 0 ? uptime_seconds : 0;
   sustained.set("events_per_second", up > 0 ? served / up : 0.0);
-  sustained.set("records_per_second",
-                up > 0 ? (records_ok + records_degraded) / up : 0.0);
+  sustained.set("records_per_second", up > 0 ? records_ok / up : 0.0);
   sustained.set("points_per_second", up > 0 ? points / up : 0.0);
   root.set("sustained", std::move(sustained));
 
@@ -97,23 +127,19 @@ Json ServeStats::to_json() const {
   plan.set("trajectory", std::move(traj));
   root.set("plan_cache", std::move(plan));
 
-  Json pool = Json::object();
-  pool.set("threads", pool_threads);
-  pool.set("executed", static_cast<double>(pool_executed));
-  pool.set("steals", static_cast<double>(pool_steals));
-  pool.set("stolen_tasks", static_cast<double>(pool_stolen_tasks));
-  pool.set("injector_takes", static_cast<double>(pool_injector_takes));
-  pool.set("overflow", static_cast<double>(pool_overflow));
-  pool.set("parks", static_cast<double>(pool_parks));
-  pool.set("wakes", static_cast<double>(pool_wakes));
-  pool.set("inline_runs", static_cast<double>(pool_inline_runs));
-  root.set("pool", std::move(pool));
+  Json jp = Json::object();
+  jp.set("threads", pool_threads);
+  jp.set("executed", static_cast<double>(pool.executed));
+  jp.set("steals", static_cast<double>(pool.steals));
+  jp.set("stolen_tasks", static_cast<double>(pool.stolen_tasks));
+  jp.set("injector_takes", static_cast<double>(pool.injector_takes));
+  jp.set("overflow", static_cast<double>(pool.overflow));
+  jp.set("parks", static_cast<double>(pool.parks));
+  jp.set("wakes", static_cast<double>(pool.wakes));
+  jp.set("inline_runs", static_cast<double>(pool.inline_runs));
+  root.set("pool", std::move(jp));
 
-  Json breaker = Json::object();
-  breaker.set("rejected_ops", static_cast<double>(breaker_rejected_ops));
-  breaker.set("opens", breaker_opens);
-  breaker.set("half_open_recoveries", breaker_half_open_recoveries);
-  root.set("breaker", std::move(breaker));
+  root.set("breaker", breaker_to_json(breaker));
 
   Json health = Json::object();
   health.set("scan_errors", static_cast<double>(scan_errors));
@@ -124,23 +150,16 @@ Json ServeStats::to_json() const {
 
 SpoolServer::SpoolServer(FileSystem& fs, ServeConfig config)
     : fs_(fs), cfg_(std::move(config)) {
-  if (cfg_.event_workers < 1) cfg_.event_workers = 1;
-  if (cfg_.shards < 1) cfg_.shards = 1;
   if (cfg_.stats_every < 1) cfg_.stats_every = 1;
   if (cfg_.poll_ms < 1) cfg_.poll_ms = 1;
-  if (!cfg_.runner.sleep) {
-    cfg_.runner.sleep = [](int ms) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-    };
-  }
   // The record fan-out of every event lands on the shared pool.
   cfg_.runner.pool = cfg_.pool;
 }
 
-SpoolServer::ManifestJob SpoolServer::parse_manifest(
-    const std::string& name, const std::string& text,
-    std::string& error) const {
-  ManifestJob job;
+EventJob SpoolServer::parse_manifest(const std::string& name,
+                                     const std::string& text,
+                                     std::string& error) const {
+  EventJob job;
   job.manifest = name;
   auto parsed = Json::parse(text);
   if (!parsed.ok()) {
@@ -171,75 +190,93 @@ SpoolServer::ManifestJob SpoolServer::parse_manifest(
   return job;
 }
 
-void SpoolServer::process_event(const ManifestJob& job) {
-  const std::string shard =
-      "s" + std::to_string(fnv1a64(job.event) %
-                           static_cast<std::uint64_t>(cfg_.shards));
-  const stdfs::path work_dir = work_root_ / "events" / shard / job.event;
-
-  // Fresh slate: a re-submitted event id after a crash must not inherit
-  // a half-written work dir.
-  (void)fs_.remove_all(work_dir);
-
-  RunnerConfig runner = cfg_.runner;
-  if (job.deadline_soft_s >= 0) runner.deadline.soft_seconds = job.deadline_soft_s;
-  if (job.deadline_hard_s >= 0) runner.deadline.hard_seconds = job.deadline_hard_s;
-
-  const auto started = std::chrono::steady_clock::now();
-  StageRunner event_runner(fs_, runner);
-  auto report = event_runner.run_event(job.input_dir, work_dir);
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
-          .count();
-
-  if (report.ok()) {
-    record_completion(job, report.value().status(), &report.value(), seconds);
-  } else {
-    // Run-level failure (input dir unusable, report unwritable): the
-    // event is reported as quarantined — counted, never lost.
-    record_completion(job, "quarantined", nullptr, seconds);
+bool SpoolServer::claim(EventEngine& engine, const stdfs::path& manifest) {
+  const std::string name = manifest.filename().string();
+  // Claiming is the atomic handoff: whoever renames the manifest out of
+  // the spool root owns it. A failed rename (producer still writing via
+  // tmp/, or a racing claimer) is retried on the next scan.
+  if (!fs_.rename(manifest, mine_ / name).ok()) return false;
+  auto text = retry_io<std::string>(
+      cfg_.runner, [&] { return fs_.read_file(mine_ / name); });
+  std::string error = "unreadable manifest";
+  EventJob job =
+      text.ok() ? parse_manifest(name, text.value(), error) : EventJob{};
+  bool duplicate = false;
+  if (!job.event.empty()) {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    duplicate = !seen_events_.insert(job.event).second;
   }
-
-  // Manifest audit trail: claimed -> done once the event is reported.
-  // Retried like every other storage touch: an injected transient fault
-  // here must not strand the manifest in claimed/ on an otherwise
-  // healthy service.
-  (void)run_with_retry<Unit, IoError>(
-      cfg_.runner.retry, cfg_.runner.sleep, classify_io,
-      [&] { return fs_.rename(claimed_ / job.manifest, done_ / job.manifest); });
+  if (job.event.empty() || duplicate) {
+    reject(name, duplicate ? "duplicate event id: " + job.event : error,
+           duplicate);
+    return false;
+  }
+  // Backpressure: blocks while queue_capacity events are pending.
+  if (!engine.admit(std::move(job))) return false;
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  ++stats_.admitted;
+  return true;
 }
 
-void SpoolServer::record_completion(const ManifestJob& job,
-                                    const std::string& status,
-                                    const RunReport* report, double seconds) {
+void SpoolServer::reject(const std::string& name, const std::string& why,
+                         bool duplicate) {
+  // Retried, and the note written atomically, like every other storage
+  // touch: a transient fault must neither strand the manifest in
+  // claimed/ nor tear its note.
+  (void)retry_io<Unit>(cfg_.runner, [&] {
+    return fs_.rename(mine_ / name, rejected_ / name);
+  });
+  (void)retry_io<Unit>(cfg_.runner, [&] {
+    return atomic_write_file(fs_, rejected_ / (name + ".reason"), why + "\n");
+  });
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  ++(duplicate ? stats_.duplicates : stats_.malformed);
+}
+
+void SpoolServer::serve_one(const EventJob& job) {
+  record_completion(run_event_job(fs_, cfg_.runner, job));
+  // Manifest audit trail: claimed -> done once the event is reported.
+  (void)retry_io<Unit>(cfg_.runner, [&] {
+    return fs_.rename(mine_ / job.manifest, done_ / job.manifest);
+  });
+}
+
+void SpoolServer::hand_back(const stdfs::path& owner_dir) {
+  auto listed = retry_io<std::vector<stdfs::path>>(
+      cfg_.runner, [&] { return fs_.list_dir(owner_dir); });
+  bool emptied = listed.ok();
+  for (const stdfs::path& p : listed.value_or({})) {
+    if (p.extension() != kManifestExtension) continue;
+    emptied &= retry_io<Unit>(cfg_.runner, [&] {
+                 return fs_.rename(p, spool_ / p.filename());
+               }).ok();
+  }
+  if (emptied) {
+    (void)retry_io<Unit>(cfg_.runner,
+                         [&] { return fs_.remove_all(owner_dir); });
+  }
+}
+
+void SpoolServer::record_completion(const EventOutcome& out) {
   bool write = false;
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.served;
-    if (status == "ok") ++stats_.ok;
-    else if (status == "degraded") ++stats_.degraded;
+    if (out.status == "ok") ++stats_.ok;
+    else if (out.status == "degraded") ++stats_.degraded;
     else ++stats_.quarantined;
+    stats_.records_ok += out.records_ok;
+    stats_.records_degraded += out.records_degraded;
+    stats_.records_quarantined += out.records_quarantined;
+    stats_.points += out.points;
+    stats_.cache_hits += out.cache_hits;
+    stats_.cache_misses += out.cache_misses;
 
-    ServeEventSample sample;
-    sample.index = stats_.served;
-    sample.event = job.event;
-    sample.status = status;
-    sample.seconds = seconds;
-    if (report) {
-      stats_.records_ok += report->count_ok() - report->count_degraded();
-      stats_.records_degraded += report->count_degraded();
-      stats_.records_quarantined += report->count_quarantined();
-      stats_.points += report->total_points();
-      for (const auto& [stage, profile] : report->stage_profile()) {
-        sample.hits += profile.cache_hits;
-        sample.misses += profile.cache_misses;
-      }
-      const long long touched = sample.hits + sample.misses;
-      sample.hit_rate =
-          touched > 0 ? static_cast<double>(sample.hits) / touched : 0;
-      stats_.cache_hits += sample.hits;
-      stats_.cache_misses += sample.misses;
-    }
+    const long long touched = out.cache_hits + out.cache_misses;
+    const ServeEventSample sample{
+        stats_.served, out.event, out.status, out.cache_hits, out.cache_misses,
+        touched > 0 ? static_cast<double>(out.cache_hits) / touched : 0,
+        out.seconds};
     if (stats_.served == 1) stats_.first_event = sample;
     stats_.last_event = sample;
     // Downsampled trajectory: keep every stride-th completion; once the
@@ -264,57 +301,38 @@ void SpoolServer::record_completion(const ManifestJob& job,
     }
     write = stats_.served % cfg_.stats_every == 0;
   }
-  if (write) write_stats();
+  if (write) (void)write_stats(snapshot());
 }
 
-ServeStats SpoolServer::snapshot_locked() {
+ServeStats SpoolServer::snapshot() {
+  std::lock_guard<std::mutex> lock(stats_mu_);
   ServeStats snap = stats_;
   snap.uptime_seconds = steady_now_seconds() - started_at_;
   snap.driver = to_string(cfg_.runner.driver);
   snap.threads = cfg_.pool ? cfg_.pool->thread_count()
                            : resolve_threads(cfg_.runner.threads);
-  snap.event_workers = cfg_.event_workers;
+  snap.event_workers = engine_->workers();
   snap.queue_capacity = cfg_.queue_capacity;
-  snap.queue_depth = queue_depth_.load(std::memory_order_relaxed);
-  snap.in_flight = in_flight_.load(std::memory_order_relaxed);
+  snap.queue_depth = engine_->queue_depth();
+  snap.in_flight = engine_->in_flight();
   if (cfg_.pool) {
-    const WorkPoolStats p = cfg_.pool->stats();
     snap.pool_threads = cfg_.pool->thread_count();
-    snap.pool_executed = p.executed;
-    snap.pool_steals = p.steals;
-    snap.pool_stolen_tasks = p.stolen_tasks;
-    snap.pool_injector_takes = p.injector_takes;
-    snap.pool_overflow = p.overflow;
-    snap.pool_parks = p.parks;
-    snap.pool_wakes = p.wakes;
-    snap.pool_inline_runs = p.inline_runs;
+    snap.pool = cfg_.pool->stats();
   }
-  if (cfg_.runner.breaker) {
-    const storage::BreakerCounters after = cfg_.runner.breaker->counters();
-    snap.breaker_rejected_ops =
-        after.rejected_ops - breaker_before_.rejected_ops;
-    snap.breaker_opens = after.opens - breaker_before_.opens;
-    snap.breaker_half_open_recoveries =
-        after.half_open_recoveries - breaker_before_.half_open_recoveries;
-  }
+  snap.breaker = breaker_.delta();
   return snap;
 }
 
-void SpoolServer::write_stats() {
-  ServeStats snap;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    snap = snapshot_locked();
-  }
+Result<Unit, IoError> SpoolServer::write_stats(const ServeStats& snap) {
   const std::string body = snap.dump();
-  auto wrote = run_with_retry<Unit, IoError>(
-      cfg_.runner.retry, cfg_.runner.sleep, classify_io, [&] {
-        return atomic_write_file(fs_, work_root_ / kServeStatsFileName, body);
-      });
+  auto wrote = retry_io<Unit>(cfg_.runner, [&] {
+    return atomic_write_file(fs_, work_root_ / kServeStatsFileName, body);
+  });
   if (!wrote.ok()) {
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.stats_write_failures;  // absorbed; the next completion retries
   }
+  return wrote;
 }
 
 Result<ServeStats, IoError> SpoolServer::run(const stdfs::path& spool,
@@ -325,42 +343,50 @@ Result<ServeStats, IoError> SpoolServer::run(const stdfs::path& spool,
   done_ = spool / "done";
   work_root_ = work_root;
   started_at_ = steady_now_seconds();
-  breaker_before_ = cfg_.runner.breaker ? cfg_.runner.breaker->counters()
-                                        : storage::BreakerCounters{};
+  breaker_ = storage::BreakerWindow(cfg_.runner.breaker);
+  auto made = create_dirs(fs_, cfg_.runner,
+                          {spool_ / "tmp", claimed_, rejected_, done_,
+                           work_root_ / "events"});
+  if (!made.ok()) return std::move(made).take_error();
 
-  for (const stdfs::path& dir :
-       {spool_, spool_ / "tmp", claimed_, rejected_, done_,
-        work_root_ / "events"}) {
-    auto made = fs_.create_directories(dir);
-    if (!made.ok()) return std::move(made).take_error();
-  }
-
-  const BatchConfig::Priority priority = cfg_.priority;
-  auto less = [priority](const ManifestJob& a, const ManifestJob& b) {
-    switch (priority) {
-      case BatchConfig::Priority::kLargest:
-        return a.priority_bytes < b.priority_bytes;
-      case BatchConfig::Priority::kSmallest:
-        return a.priority_bytes > b.priority_bytes;
-      case BatchConfig::Priority::kFifo: break;
+  // Crash contract, once at startup: a claim dir whose owner lock can be
+  // taken belongs to a dead instance, so its manifests go back to the
+  // spool root and are claimed again below. A live peer's lock refuses,
+  // and its claims stay untouched.
+  auto claims = retry_io<std::vector<stdfs::path>>(
+      cfg_.runner, [&] { return fs_.list_tree(claimed_); });
+  if (!claims.ok()) return std::move(claims).take_error();
+  for (const stdfs::path& p : claims.value()) {
+    if (p.filename() != kClaimLockFileName ||
+        p.parent_path().parent_path() != claimed_) {
+      continue;
     }
-    return false;  // equal priority everywhere: pure FIFO
-  };
-  BoundedPriorityQueue<ManifestJob, decltype(less)> queue(cfg_.queue_capacity,
-                                                          less);
-
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<std::size_t>(cfg_.event_workers));
-  for (int w = 0; w < cfg_.event_workers; ++w) {
-    workers.emplace_back([&] {
-      while (auto job = queue.pop()) {
-        queue_depth_.store(queue.size(), std::memory_order_relaxed);
-        in_flight_.fetch_add(1, std::memory_order_relaxed);
-        process_event(*job);
-        in_flight_.fetch_sub(1, std::memory_order_relaxed);
-      }
-    });
+    if (OwnerLock dead(p, /*create=*/false); dead.held()) {
+      hand_back(p.parent_path());
+    }
   }
+
+  // This instance's claim dir is staged in tmp/ with its lock already
+  // held, then renamed in: no peer ever sees it unlocked, not even while
+  // this instance is starting.
+  const std::string owner = owner_id();
+  const stdfs::path staging = spool_ / "tmp" / ("." + owner);
+  mine_ = claimed_ / owner;
+  made = create_dirs(fs_, cfg_.runner, {staging});
+  if (!made.ok()) return std::move(made).take_error();
+  const OwnerLock alive(staging / kClaimLockFileName, /*create=*/true);
+  if (!alive.held()) {
+    return IoError{IoError::Code::kOpenFailed, ErrorClass::kPoison,
+                   (staging / kClaimLockFileName).string(),
+                   "cannot lock the claim dir"};
+  }
+  made = retry_io<Unit>(cfg_.runner,
+                        [&] { return fs_.rename(staging, mine_); });
+  if (!made.ok()) return std::move(made).take_error();
+
+  EventEngine engine(cfg_, work_root_, cfg_.event_workers,
+                     [this](const EventJob& job) { serve_one(job); });
+  engine_ = &engine;
 
   // The request stream: scan, claim by atomic rename, parse, admit.
   double idle_since = steady_now_seconds();
@@ -373,7 +399,6 @@ Result<ServeStats, IoError> SpoolServer::run(const stdfs::path& spool,
         for (const stdfs::path& p : listed.value()) {
           if (p.extension() == kManifestExtension) manifests.push_back(p);
         }
-        std::sort(manifests.begin(), manifests.end());
       } else {
         // A storage hiccup on the scan path must not kill the service:
         // count it and retry on the next poll.
@@ -386,59 +411,20 @@ Result<ServeStats, IoError> SpoolServer::run(const stdfs::path& spool,
       // max_events can trip mid-scan; the rest of this scan's manifests
       // stay unclaimed in the spool root for the next service instance.
       if (!admitting) break;
-      const std::string name = manifest.filename().string();
-      // Claiming is the atomic handoff: whoever renames the manifest
-      // out of the spool root owns it. A failed rename (producer still
-      // writing via tmp/, or a racing claimer) is retried next scan.
-      if (!fs_.rename(manifest, claimed_ / name).ok()) continue;
-      auto text = run_with_retry<std::string, IoError>(
-          cfg_.runner.retry, cfg_.runner.sleep, classify_io,
-          [&] { return fs_.read_file(claimed_ / name); });
-      std::string error;
-      ManifestJob job = text.ok()
-                            ? parse_manifest(name, text.value(), error)
-                            : ManifestJob{};
-      if (!text.ok()) error = "unreadable manifest";
-      bool duplicate = false;
-      if (!job.event.empty()) {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        duplicate = !seen_events_.insert(job.event).second;
-      }
-      if (job.event.empty() || duplicate) {
-        if (duplicate) error = "duplicate event id: " + job.event;
-        (void)fs_.rename(claimed_ / name, rejected_ / name);
-        (void)fs_.write_file(rejected_ / (name + ".reason"), error + "\n");
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        if (duplicate) {
-          ++stats_.duplicates;
-        } else {
-          ++stats_.malformed;
-        }
-        continue;
-      }
-      // Backpressure: blocks while queue_capacity events are pending.
-      if (queue.push(std::move(job)) == QueuePushResult::kClosed) break;
-      queue_depth_.store(queue.size(), std::memory_order_relaxed);
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.admitted;
-        if (cfg_.max_events > 0 && stats_.admitted >= cfg_.max_events) {
-          admitting = false;
-        }
-      }
+      if (!claim(engine, manifest)) continue;
       idle_since = steady_now_seconds();
+      std::lock_guard<std::mutex> lock(stats_mu_);
+      admitting = cfg_.max_events <= 0 || stats_.admitted < cfg_.max_events;
     }
 
-    if (!admitting && queue.size() == 0 &&
-        in_flight_.load(std::memory_order_relaxed) == 0) {
+    if (!admitting && engine.idle()) {
       break;  // max_events reached and everything drained
     }
     if (manifests.empty()) {
       // The sentinel is only honored once the spool is visibly empty,
       // so "drop N manifests, then the sentinel" admits all N first.
       if (fs_.exists(spool_ / kServeShutdownSentinel)) break;
-      if (cfg_.idle_exit_seconds > 0 && queue.size() == 0 &&
-          in_flight_.load(std::memory_order_relaxed) == 0 &&
+      if (cfg_.idle_exit_seconds > 0 && engine.idle() &&
           steady_now_seconds() - idle_since >= cfg_.idle_exit_seconds) {
         break;
       }
@@ -449,25 +435,19 @@ Result<ServeStats, IoError> SpoolServer::run(const stdfs::path& spool,
   }
 
   // Drain: stop admission, let the workers finish every queued event.
-  queue.close();
-  for (std::thread& t : workers) t.join();
-  queue_depth_.store(0, std::memory_order_relaxed);
+  engine.drain();
 
   // Consume the sentinel so the next serve run does not instantly exit.
   if (fs_.exists(spool_ / kServeShutdownSentinel)) {
     (void)fs_.remove_all(spool_ / kServeShutdownSentinel);
   }
+  // Every claim has reached done/ or rejected/; anything a failed rename
+  // stranded goes back to the spool root for the next instance.
+  hand_back(mine_);
 
-  ServeStats final_stats;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    final_stats = snapshot_locked();
-  }
-  const std::string body = final_stats.dump();
-  auto wrote = run_with_retry<Unit, IoError>(
-      cfg_.runner.retry, cfg_.runner.sleep, classify_io, [&] {
-        return atomic_write_file(fs_, work_root_ / kServeStatsFileName, body);
-      });
+  const ServeStats final_stats = snapshot();
+  engine_ = nullptr;
+  auto wrote = write_stats(final_stats);
   if (!wrote.ok()) return std::move(wrote).take_error();
   return final_stats;
 }

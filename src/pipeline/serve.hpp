@@ -1,53 +1,33 @@
 #pragma once
 
-#include <atomic>
-#include <cstdint>
 #include <filesystem>
 #include <mutex>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "pipeline/batch.hpp"
-#include "pipeline/config.hpp"
+#include "pipeline/engine.hpp"
+#include "pipeline/report.hpp"
 #include "util/fs.hpp"
 #include "util/json.hpp"
 #include "util/result.hpp"
-
-namespace acx {
-class WorkPool;  // util/work_pool.hpp
-}
+#include "util/work_pool.hpp"
 
 namespace acx::pipeline {
 
-// The resident service layer (docs/SERVE.md): a long-lived process that
-// watches a spool directory for event manifests, admits them through
-// the bounded priority queue, and runs each event through the standard
-// RecordExecutor + storage stack — with the record-level fan-out on one
-// persistent work-stealing WorkPool shared across every event, so
-// OpenMP-style team spin-up and plan-cache warm-up are paid once per
-// process instead of once per event.
-// The serve layer's RunnerConfig baseline: same defaults as a direct
-// run, except the driver is the pool driver the service exists for.
-inline RunnerConfig serve_default_runner() {
-  RunnerConfig runner;
-  runner.driver = Driver::kPool;
-  return runner;
-}
-
-struct ServeConfig {
-  // Per-event pipeline configuration; driver defaults to kPool and the
-  // shared pool below is wired into it by the server.
-  RunnerConfig runner = serve_default_runner();
-  // Inter-event concurrency: how many events run at once, each batching
-  // its records onto the shared pool.
-  int event_workers = 2;
-  std::size_t queue_capacity = 8;
-  // Work dirs shard as <work>/events/s<fnv1a64(event)%shards>/<event>.
-  int shards = 16;
-  // Which admitted event a freed worker claims next (same policies as
-  // the batch runner).
-  BatchConfig::Priority priority = BatchConfig::Priority::kFifo;
+// The resident service layer (docs/SERVE.md): the event engine fed by a
+// spool directory of event manifests, with the record-level fan-out of
+// every event on one persistent work-stealing WorkPool, so team spin-up
+// and plan-cache warm-up are paid once per process instead of once per
+// event.
+struct ServeConfig : EngineConfig {
+  // The service's engine defaults: the pool driver it exists for, two
+  // events at once, a deeper admission queue.
+  ServeConfig() {
+    runner.driver = Driver::kPool;
+    event_workers = 2;
+    queue_capacity = 8;
+  }
   // Spool scan cadence while idle, milliseconds.
   int poll_ms = 50;
   // Stop admitting after this many events (0 = unbounded) — the soak
@@ -58,9 +38,10 @@ struct ServeConfig {
   double idle_exit_seconds = 0;
   // Rewrite serve_stats.json every N event completions (>= 1).
   int stats_every = 1;
-  // The resident record-level pool, shared across events. Null is legal
-  // (each event then spins a transient pool — the anti-pattern the
-  // service exists to avoid; acx_serve always passes one).
+  // The resident record-level pool, shared across events and wired into
+  // runner.pool by the server. Null is legal (each event then spins a
+  // transient pool — the anti-pattern the service exists to avoid;
+  // acx_serve always passes one).
   WorkPool* pool = nullptr;
 };
 
@@ -98,6 +79,7 @@ struct ServeStats {
   long long duplicates = 0;  // manifests rejected: event id already seen
   long long in_flight = 0;   // popped but not yet completed
 
+  // Summed EventOutcome counts: degraded records are ok records.
   long long records_ok = 0;
   long long records_degraded = 0;
   long long records_quarantined = 0;
@@ -111,19 +93,10 @@ struct ServeStats {
 
   // Pool counters (zeros when no shared pool is wired in).
   int pool_threads = 0;
-  long long pool_executed = 0;
-  long long pool_steals = 0;
-  long long pool_stolen_tasks = 0;
-  long long pool_injector_takes = 0;
-  long long pool_overflow = 0;
-  long long pool_parks = 0;
-  long long pool_wakes = 0;
-  long long pool_inline_runs = 0;
+  WorkPoolStats pool;
 
   // Breaker counter deltas since the service started.
-  long long breaker_rejected_ops = 0;
-  int breaker_opens = 0;
-  int breaker_half_open_recoveries = 0;
+  storage::BreakerCounters breaker;
 
   // Service-health counters: storage hiccups the service absorbed.
   long long scan_errors = 0;
@@ -135,11 +108,14 @@ struct ServeStats {
 
 inline constexpr const char* kServeStatsFileName = "serve_stats.json";
 inline constexpr const char* kServeShutdownSentinel = "shutdown";
+// The flock(2)-held file that marks a claim dir's owner alive.
+inline constexpr const char* kClaimLockFileName = "owner.lock";
 
 // Drives the resident service over one spool directory. Layout:
 //   <spool>/<name>.json      incoming manifests (arrive by atomic rename)
 //   <spool>/tmp/             producers stage here before renaming in
-//   <spool>/claimed/         owned by the server while an event runs
+//   <spool>/claimed/<owner>/ one service instance's claims, plus the
+//                            owner.lock it holds for its lifetime
 //   <spool>/done/            manifest audit trail of completed events
 //   <spool>/rejected/        malformed or duplicate manifests
 //   <spool>/shutdown         sentinel: drain everything, then exit
@@ -151,6 +127,10 @@ inline constexpr const char* kServeShutdownSentinel = "shutdown";
 // "deadline_soft_s"/"deadline_hard_s" per-event budget overrides.
 // run() blocks until shutdown (sentinel, max_events, or idle_exit) and
 // returns the final stats; record-level fan-out runs on config.pool.
+//
+// Crash contract: at startup, every claim dir whose lock can be taken
+// belongs to a dead instance, and its manifests go back to the spool
+// root to be claimed again; a live peer's claims are never touched.
 class SpoolServer {
  public:
   SpoolServer(FileSystem& fs, ServeConfig config = {});
@@ -159,38 +139,35 @@ class SpoolServer {
                                   const std::filesystem::path& work_root);
 
  private:
-  struct ManifestJob {
-    std::string manifest;  // file name inside claimed/
-    std::string event;
-    std::filesystem::path input_dir;
-    std::uintmax_t priority_bytes = 0;
-    double deadline_soft_s = -1;  // < 0 = inherit ServeConfig.runner
-    double deadline_hard_s = -1;
-  };
-
   // Parses and validates one claimed manifest; empty event on failure
   // with `error` describing why (for the rejected/ audit note).
-  ManifestJob parse_manifest(const std::string& name, const std::string& text,
-                             std::string& error) const;
-  void process_event(const ManifestJob& job);
-  void record_completion(const ManifestJob& job, const std::string& status,
-                         const RunReport* report, double seconds);
-  ServeStats snapshot_locked();  // caller holds stats_mu_
-  void write_stats();
+  EventJob parse_manifest(const std::string& name, const std::string& text,
+                          std::string& error) const;
+  // Claims one spool-root manifest and admits it, or rejects it. False
+  // once the engine stops admitting.
+  bool claim(EventEngine& engine, const std::filesystem::path& manifest);
+  void reject(const std::string& name, const std::string& why,
+              bool duplicate);
+  void serve_one(const EventJob& job);
+  // Moves every manifest of one claim dir back to the spool root and
+  // removes the dir; the caller holds the dir's owner lock.
+  void hand_back(const std::filesystem::path& owner_dir);
+  void record_completion(const EventOutcome& out);
+  ServeStats snapshot();
+  Result<Unit, IoError> write_stats(const ServeStats& snap);
 
   FileSystem& fs_;
   ServeConfig cfg_;
 
-  std::filesystem::path spool_, claimed_, rejected_, done_, work_root_;
+  std::filesystem::path spool_, claimed_, mine_, rejected_, done_, work_root_;
   double started_at_ = 0;
-  storage::BreakerCounters breaker_before_;
+  storage::BreakerWindow breaker_;
+  const EventEngine* engine_ = nullptr;  // run()'s engine, while it runs
 
   std::mutex stats_mu_;
   ServeStats stats_;
   std::set<std::string> seen_events_;
   long long trajectory_stride_ = 1;
-  std::atomic<long long> in_flight_{0};
-  std::atomic<std::size_t> queue_depth_{0};
 };
 
 }  // namespace acx::pipeline

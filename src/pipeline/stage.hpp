@@ -46,6 +46,12 @@ inline const char* to_string(BandPassKind k) {
   return k == BandPassKind::kFir ? "fir" : "butter";
 }
 
+inline std::optional<BandPassKind> parse_bandpass(std::string_view name) {
+  if (name == "fir") return BandPassKind::kFir;
+  if (name == "butter") return BandPassKind::kButterworth;
+  return std::nullopt;
+}
+
 struct CorrectionConfig {
   double low_hz = 0.5;    // fallback long-period corner
   double high_hz = 25.0;  // fallback short-period corner

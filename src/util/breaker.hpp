@@ -60,6 +60,26 @@ class CircuitBreaker {
   BreakerCounters counters_;
 };
 
+// The counter deltas of one breaker across a window — a run, a batch or
+// a service lifetime — measured from construction. All zero when no
+// breaker is wired in.
+class BreakerWindow {
+ public:
+  explicit BreakerWindow(const CircuitBreaker* breaker = nullptr)
+      : breaker_(breaker), before_(breaker ? breaker->counters()
+                                           : BreakerCounters{}) {}
+  BreakerCounters delta() const {
+    if (!breaker_) return {};
+    const BreakerCounters now = breaker_->counters();
+    return {now.rejected_ops - before_.rejected_ops, now.opens - before_.opens,
+            now.half_open_recoveries - before_.half_open_recoveries};
+  }
+
+ private:
+  const CircuitBreaker* breaker_;
+  BreakerCounters before_;
+};
+
 // FileSystem shim that routes every operation through a breaker. Wraps
 // the (possibly slow/flaky) backend stack; rejected operations return
 // IoError::Code::kCircuitOpen as a *transient* error, so the executor's

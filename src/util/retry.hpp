@@ -1,8 +1,10 @@
 #pragma once
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <functional>
+#include <thread>
 
 #include "util/error.hpp"
 #include "util/result.hpp"
@@ -49,6 +51,11 @@ struct RetryPolicy {
 
 // Injected so tests retry instantly; production uses a real sleep.
 using SleepFn = std::function<void(int /*milliseconds*/)>;
+
+// The real sleep every SleepFn defaults to.
+inline void sleep_ms(int ms) {
+  std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+}
 
 // True when a backoff sleep of the given length still fits the caller's
 // remaining budget; retrying stops early when it does not (the deadline

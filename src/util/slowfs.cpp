@@ -1,21 +1,13 @@
 #include "util/slowfs.hpp"
 
-#include <chrono>
 #include <cmath>
-#include <thread>
 
 namespace acx::storage {
 
 namespace stdfs = std::filesystem;
 
 SlowFileSystem::SlowFileSystem(FileSystem& inner, SlowConfig config)
-    : inner_(inner), cfg_(std::move(config)), rng_(cfg_.seed) {
-  if (!cfg_.sleep) {
-    cfg_.sleep = [](int ms) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-    };
-  }
-}
+    : inner_(inner), cfg_(std::move(config)), rng_(cfg_.seed) {}
 
 void SlowFileSystem::delay(std::uintmax_t transfer_bytes) {
   double ms = cfg_.base_ms;

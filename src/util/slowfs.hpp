@@ -23,9 +23,8 @@ struct SlowConfig {
   double base_ms = 0;      // fixed per-operation latency
   double jitter_ms = 0;    // + uniform [0, jitter_ms)
   double per_kib_ms = 0;   // + per-KiB transfer cost (read/write only)
-  // Injected so tests model latency without wall-clock sleeping;
-  // defaults to a real sleep.
-  SleepFn sleep;
+  // Injected so tests model latency without wall-clock sleeping.
+  SleepFn sleep = sleep_ms;
 };
 
 struct SlowStats {

@@ -518,8 +518,8 @@ TEST(Breaker, OpensAndRecoversAcrossARunAndLandsInTheReport) {
   ASSERT_TRUE(run.ok());
   const RunReport& report = run.value();
   EXPECT_EQ(report.count_ok(), 3) << "breaker + retries ride out the outage";
-  EXPECT_GE(report.breaker_opens, 1);
-  EXPECT_GE(report.breaker_half_open_recoveries, 1);
+  EXPECT_GE(report.breaker.opens, 1);
+  EXPECT_GE(report.breaker.half_open_recoveries, 1);
   EXPECT_TRUE(validate_workdir(fs, work).clean());
 
   // The counters round-trip through the v6 schema.
@@ -527,9 +527,9 @@ TEST(Breaker, OpensAndRecoversAcrossARunAndLandsInTheReport) {
   ASSERT_TRUE(text.ok());
   auto parsed = RunReport::from_json_text(text.value());
   ASSERT_TRUE(parsed.ok()) << parsed.error();
-  EXPECT_EQ(parsed.value().breaker_opens, report.breaker_opens);
-  EXPECT_EQ(parsed.value().breaker_half_open_recoveries,
-            report.breaker_half_open_recoveries);
+  EXPECT_EQ(parsed.value().breaker.opens, report.breaker.opens);
+  EXPECT_EQ(parsed.value().breaker.half_open_recoveries,
+            report.breaker.half_open_recoveries);
 }
 
 TEST(Batch, DeadlinePressureDegradesEveryEventInTheBatchReport) {
@@ -666,8 +666,8 @@ TEST(KillResume, SeededFaultStormLosesNoEventsAndKeepsOkReportsCanonical) {
   }
   // 10% faults against a 2-consecutive-failure threshold trip the
   // breaker at least once, and the zero-cooldown probe recovers it.
-  EXPECT_GE(batch.breaker_opens, 1);
-  EXPECT_GE(batch.breaker_half_open_recoveries, 1);
+  EXPECT_GE(batch.breaker.opens, 1);
+  EXPECT_GE(batch.breaker.half_open_recoveries, 1);
 
   // Whatever survived as "ok" must be indistinguishable from a run
   // that never saw a fault.

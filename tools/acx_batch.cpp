@@ -1,200 +1,40 @@
 // acx_batch — resilient multi-event batch runner.
 //
-//   acx_batch --input ROOT --work DIR
-//             [--driver seq|seq-opt|partial|full] [--threads N]
-//             [--event-workers N] [--queue-capacity N] [--shards N]
-//             [--priority fifo|largest|smallest]
-//             [--soft-deadline-s S] [--hard-deadline-s S]
-//             [--max-retries N] [--jitter-seed N] [--no-resume]
-//             [--storage-latency-ms MS] [--storage-jitter-ms MS]
-//             [--storage-fail-p P] [--storage-seed N]
-//             [--breaker-threshold N] [--breaker-open-s S]
-//             [--breaker-probes N]
-//             [--kill-stage NAME --kill-on K]
-//             [--report]
+//   acx_batch --input ROOT --work DIR [--no-resume] [--report]
+//             [the runner flags shared with acx_serve; tools/cli.cpp]
 //
-// Every directory under --input holding *.v1 records is one event.
-// Events flow through a bounded priority queue (backpressure against a
-// stalled worker pool) to --event-workers threads, each running the
-// configured intra-event driver; two scheduling axes compose. Each
-// event runs under the per-event deadline budget, and the whole batch
-// talks to storage through the modeled stack
-//   Real -> Faulty (--storage-fail-p) -> Slow (--storage-latency-ms)
-//        -> Breaker
-// whose circuit breaker sheds load from a dying backend. Completed
-// events journal under <work>/journal; a rerun of the same command
-// resumes, skipping every journaled event whose work dir still
-// validates. --kill-stage/--kill-on arm the crash hook (the process
-// dies with exit 137 on the K-th invocation of NAME) for the
-// kill-and-resume tests. See docs/BATCH.md.
+// Every directory under --input holding *.v1 records is one event, run
+// on the event engine over the modeled storage stack. Completed events
+// journal under <work>/journal; a rerun of the same command resumes,
+// skipping every journaled event whose work dir still validates.
+// --kill-stage/--kill-on arm the crash hook (exit 137 on the K-th
+// invocation of NAME) for the kill-and-resume tests. See docs/BATCH.md.
 //
 // Exit codes: 0 = every event ok; 3 = batch completed but some event
-// degraded or quarantined; 1 = the batch itself failed.
+// degraded or quarantined; 1 = the batch itself failed; 2 = usage.
 
 #include <cstdio>
-#include <cstdlib>
-#include <memory>
 #include <string>
 
+#include "cli.hpp"
 #include "pipeline/batch.hpp"
-#include "util/breaker.hpp"
-#include "util/faultfs.hpp"
-#include "util/fs.hpp"
-#include "util/slowfs.hpp"
-
-namespace {
-
-int usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s --input ROOT --work DIR "
-      "[--driver seq|seq-opt|partial|full] [--threads N] "
-      "[--event-workers N] [--queue-capacity N] [--shards N] "
-      "[--priority fifo|largest|smallest] "
-      "[--soft-deadline-s S] [--hard-deadline-s S] "
-      "[--max-retries N] [--jitter-seed N] [--no-resume] "
-      "[--storage-latency-ms MS] [--storage-jitter-ms MS] "
-      "[--storage-fail-p P] [--storage-seed N] "
-      "[--breaker-threshold N] [--breaker-open-s S] [--breaker-probes N] "
-      "[--kill-stage NAME --kill-on K] [--report]\n",
-      argv0);
-  return 2;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   std::string input_root, work_root;
   bool report_to_stdout = false;
   acx::pipeline::BatchConfig cfg;
-  acx::storage::SlowConfig slow;
-  acx::faultfs::FaultConfig faults;
-  acx::storage::BreakerConfig breaker_cfg;
-  double storage_fail_p = 0;
+  acx::cli::StorageModel model;
+  const bool parsed = acx::cli::parse_runner_flags(
+      argc, argv,
+      {{"--input", "ROOT", acx::cli::text(input_root), true},
+       {"--no-resume", nullptr, acx::cli::set(cfg.resume, false)},
+       {"--report", nullptr, acx::cli::set(report_to_stdout, true)}},
+      cfg, work_root, model);
+  if (!parsed) return 2;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    const char* v = nullptr;
-    if (arg == "--input") {
-      if (!(v = next())) return usage(argv[0]);
-      input_root = v;
-    } else if (arg == "--work") {
-      if (!(v = next())) return usage(argv[0]);
-      work_root = v;
-    } else if (arg == "--driver") {
-      if (!(v = next())) return usage(argv[0]);
-      auto driver = acx::pipeline::parse_driver(v);
-      if (!driver) {
-        std::fprintf(stderr, "acx_batch: unknown driver '%s'\n", v);
-        return usage(argv[0]);
-      }
-      cfg.runner.driver = *driver;
-    } else if (arg == "--threads") {
-      if (!(v = next())) return usage(argv[0]);
-      cfg.runner.threads = std::atoi(v);
-      if (cfg.runner.threads < 0) return usage(argv[0]);
-    } else if (arg == "--event-workers") {
-      if (!(v = next())) return usage(argv[0]);
-      cfg.event_workers = std::atoi(v);
-      if (cfg.event_workers < 1) return usage(argv[0]);
-    } else if (arg == "--queue-capacity") {
-      if (!(v = next())) return usage(argv[0]);
-      const int n = std::atoi(v);
-      if (n < 1) return usage(argv[0]);
-      cfg.queue_capacity = static_cast<std::size_t>(n);
-    } else if (arg == "--shards") {
-      if (!(v = next())) return usage(argv[0]);
-      cfg.shards = std::atoi(v);
-      if (cfg.shards < 1) return usage(argv[0]);
-    } else if (arg == "--priority") {
-      if (!(v = next())) return usage(argv[0]);
-      auto p = acx::pipeline::parse_priority(v);
-      if (!p) {
-        std::fprintf(stderr, "acx_batch: unknown priority '%s'\n", v);
-        return usage(argv[0]);
-      }
-      cfg.priority = *p;
-    } else if (arg == "--soft-deadline-s") {
-      if (!(v = next())) return usage(argv[0]);
-      cfg.runner.deadline.soft_seconds = std::atof(v);
-    } else if (arg == "--hard-deadline-s") {
-      if (!(v = next())) return usage(argv[0]);
-      cfg.runner.deadline.hard_seconds = std::atof(v);
-    } else if (arg == "--max-retries") {
-      if (!(v = next())) return usage(argv[0]);
-      cfg.runner.retry.max_attempts = std::max(1, std::atoi(v) + 1);
-    } else if (arg == "--jitter-seed") {
-      if (!(v = next())) return usage(argv[0]);
-      cfg.runner.retry.jitter_seed = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--no-resume") {
-      cfg.resume = false;
-    } else if (arg == "--storage-latency-ms") {
-      if (!(v = next())) return usage(argv[0]);
-      slow.base_ms = std::atof(v);
-    } else if (arg == "--storage-jitter-ms") {
-      if (!(v = next())) return usage(argv[0]);
-      slow.jitter_ms = std::atof(v);
-    } else if (arg == "--storage-fail-p") {
-      if (!(v = next())) return usage(argv[0]);
-      storage_fail_p = std::atof(v);
-      if (storage_fail_p < 0 || storage_fail_p >= 1) return usage(argv[0]);
-    } else if (arg == "--storage-seed") {
-      if (!(v = next())) return usage(argv[0]);
-      const std::uint64_t seed = std::strtoull(v, nullptr, 10);
-      faults.seed = seed;
-      slow.seed = seed;
-    } else if (arg == "--breaker-threshold") {
-      if (!(v = next())) return usage(argv[0]);
-      breaker_cfg.failure_threshold = std::atoi(v);
-      if (breaker_cfg.failure_threshold < 1) return usage(argv[0]);
-    } else if (arg == "--breaker-open-s") {
-      if (!(v = next())) return usage(argv[0]);
-      breaker_cfg.open_seconds = std::atof(v);
-    } else if (arg == "--breaker-probes") {
-      if (!(v = next())) return usage(argv[0]);
-      breaker_cfg.half_open_probes = std::atoi(v);
-      if (breaker_cfg.half_open_probes < 1) return usage(argv[0]);
-    } else if (arg == "--kill-stage") {
-      if (!(v = next())) return usage(argv[0]);
-      cfg.runner.stage_fault.stage = v;
-      cfg.runner.stage_fault.kill_process = true;
-    } else if (arg == "--kill-on") {
-      if (!(v = next())) return usage(argv[0]);
-      cfg.runner.stage_fault.kill_on_invocation = std::atoi(v);
-    } else if (arg == "--report") {
-      report_to_stdout = true;
-    } else {
-      return usage(argv[0]);
-    }
-  }
-  if (input_root.empty() || work_root.empty()) return usage(argv[0]);
-
-  // The modeled storage stack: real disk, optionally flaky, optionally
-  // slow, always behind the circuit breaker.
-  acx::RealFileSystem real;
-  acx::FileSystem* backend = &real;
-  std::unique_ptr<acx::faultfs::FaultyFileSystem> faulty;
-  if (storage_fail_p > 0) {
-    faults.read_fail_p = storage_fail_p;
-    faults.write_fail_p = storage_fail_p;
-    faults.rename_fail_p = storage_fail_p;
-    faulty = std::make_unique<acx::faultfs::FaultyFileSystem>(*backend, faults);
-    backend = faulty.get();
-  }
-  std::unique_ptr<acx::storage::SlowFileSystem> slowed;
-  if (slow.base_ms > 0 || slow.jitter_ms > 0 || slow.per_kib_ms > 0) {
-    slowed = std::make_unique<acx::storage::SlowFileSystem>(*backend, slow);
-    backend = slowed.get();
-  }
-  acx::storage::CircuitBreaker breaker(breaker_cfg);
-  acx::storage::BreakerFileSystem fs(*backend, breaker);
-  cfg.runner.breaker = &breaker;
-
-  acx::pipeline::BatchRunner runner(fs, cfg);
-  auto run = runner.run(input_root, work_root);
+  acx::cli::StorageStack storage(model, cfg);
+  auto run = acx::pipeline::BatchRunner(storage.fs(), cfg)
+                 .run(input_root, work_root);
   if (!run.ok()) {
     std::fprintf(stderr, "acx_batch: batch failed: %s\n",
                  run.error().to_string().c_str());
@@ -212,12 +52,7 @@ int main(int argc, char** argv) {
   std::printf("  sustained: %.1f records/s, %.0f points/s over %.3fs\n",
               report.records_per_second, report.points_per_second,
               report.total_seconds);
-  if (report.breaker_rejected_ops > 0 || report.breaker_opens > 0) {
-    std::printf(
-        "  breaker: %lld ops rejected, %d opens, %d half-open recoveries\n",
-        report.breaker_rejected_ops, report.breaker_opens,
-        report.breaker_half_open_recoveries);
-  }
+  acx::cli::print_breaker(report.breaker);
   for (const auto& e : report.events) {
     if (e.status != "ok") {
       std::printf("  %-11s %s%s%s\n", e.status.c_str(), e.event.c_str(),

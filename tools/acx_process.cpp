@@ -19,94 +19,38 @@
 // Exit codes: 0 = all records ok; 3 = completed but some records
 // quarantined; 1 = the run itself failed (work dir or report I/O).
 
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "cli.hpp"
 #include "pipeline/runner.hpp"
 #include "util/fs.hpp"
-
-namespace {
-
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s --input DIR --work DIR "
-               "[--driver seq|seq-opt|partial|full] [--threads N] "
-               "[--bandpass fir|butter] [--baseline REPORT] "
-               "[--keep-going|--fail-fast] "
-               "[--max-retries N] [--report] [--canonical]\n",
-               argv0);
-  return 2;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   std::string input_dir, work_dir, baseline_path;
   bool report_to_stdout = false;
   bool canonical_to_stdout = false;
   acx::pipeline::RunnerConfig cfg;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--input") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      input_dir = v;
-    } else if (arg == "--work") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      work_dir = v;
-    } else if (arg == "--driver") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      auto driver = acx::pipeline::parse_driver(v);
-      if (!driver) {
-        std::fprintf(stderr, "acx_process: unknown driver '%s'\n", v);
-        return usage(argv[0]);
-      }
-      cfg.driver = *driver;
-    } else if (arg == "--bandpass") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      const std::string kind = v;
-      if (kind == "fir") {
-        cfg.correction.bandpass = acx::pipeline::BandPassKind::kFir;
-      } else if (kind == "butter") {
-        cfg.correction.bandpass = acx::pipeline::BandPassKind::kButterworth;
-      } else {
-        std::fprintf(stderr, "acx_process: unknown bandpass '%s'\n", v);
-        return usage(argv[0]);
-      }
-    } else if (arg == "--threads") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      cfg.threads = std::atoi(v);
-      if (cfg.threads < 0) return usage(argv[0]);
-    } else if (arg == "--baseline") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      baseline_path = v;
-    } else if (arg == "--keep-going") {
-      cfg.keep_going = true;
-    } else if (arg == "--fail-fast") {
-      cfg.keep_going = false;
-    } else if (arg == "--max-retries") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      cfg.retry.max_attempts = std::max(1, std::atoi(v) + 1);
-    } else if (arg == "--report") {
-      report_to_stdout = true;
-    } else if (arg == "--canonical") {
-      canonical_to_stdout = true;
-    } else {
-      return usage(argv[0]);
-    }
-  }
-  if (input_dir.empty() || work_dir.empty()) return usage(argv[0]);
+  int retries = cfg.retry.max_attempts - 1;
+  namespace cli = acx::cli;
+  const bool parsed = cli::parse_flags(
+      argc, argv,
+      {{"--input", "DIR", cli::text(input_dir), true},
+       {"--work", "DIR", cli::text(work_dir), true},
+       {"--driver", "seq|seq-opt|partial|full|pool",
+        cli::parsed(cfg.driver, acx::pipeline::parse_driver)},
+       {"--threads", "N", cli::integer(cfg.threads, 0)},
+       {"--bandpass", "fir|butter",
+        cli::parsed(cfg.correction.bandpass, acx::pipeline::parse_bandpass)},
+       {"--baseline", "REPORT", cli::text(baseline_path)},
+       {"--keep-going", nullptr, cli::set(cfg.keep_going, true)},
+       {"--fail-fast", nullptr, cli::set(cfg.keep_going, false)},
+       {"--max-retries", "N", cli::integer(retries)},
+       {"--report", nullptr, cli::set(report_to_stdout, true)},
+       {"--canonical", nullptr, cli::set(canonical_to_stdout, true)}});
+  if (!parsed) return 2;
+  cfg.retry.max_attempts = std::max(1, retries + 1);
   if (!cfg.keep_going && acx::pipeline::is_parallel(cfg.driver)) {
     std::fprintf(stderr,
                  "acx_process: --fail-fast has no serial notion of 'first' "

@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "cli.hpp"
 #include "pipeline/graph.hpp"
 #include "sched/analysis.hpp"
 #include "sched/cost_model.hpp"
@@ -33,16 +34,6 @@
 #include "util/fs.hpp"
 
 namespace {
-
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s --report RUN_REPORT [--report RUN_REPORT ...] "
-               "[--procs P] [--sweep P1,P2,...] [--seed S] [--split N] "
-               "[--include-degraded] [--synth-costs] [--gantt [DRIVER]] "
-               "[--json FILE]\n",
-               argv0);
-  return 2;
-}
 
 bool parse_int_list(const std::string& text, std::vector<int>& out) {
   std::size_t pos = 0;
@@ -71,50 +62,31 @@ int main(int argc, char** argv) {
   acx::sched::AnalysisOptions opt;
   bool synth_costs = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--report") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      report_paths.push_back(v);
-    } else if (arg == "--procs") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      opt.procs = std::atoi(v);
-      if (opt.procs < 1) return usage(argv[0]);
-    } else if (arg == "--sweep") {
-      const char* v = next();
-      if (!v || !parse_int_list(v, opt.sweep)) return usage(argv[0]);
-    } else if (arg == "--seed") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      opt.seed = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--split") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      opt.response_split = std::atoi(v);
-      if (opt.response_split < 1) return usage(argv[0]);
-    } else if (arg == "--include-degraded") {
-      model_opt.include_degraded = true;
-    } else if (arg == "--synth-costs") {
-      synth_costs = true;
-    } else if (arg == "--gantt") {
-      gantt = true;
-      if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-        gantt_driver = argv[++i];
-      }
-    } else if (arg == "--json") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      json_path = v;
-    } else {
-      return usage(argv[0]);
-    }
-  }
-  if (report_paths.empty()) return usage(argv[0]);
+  namespace cli = acx::cli;
+  const bool parsed = cli::parse_flags(
+      argc, argv,
+      {{"--report", "RUN_REPORT",
+        [&](const char* v) {
+          report_paths.push_back(v);
+          return true;
+        },
+        true},
+       {"--procs", "P", cli::integer(opt.procs, 1)},
+       {"--sweep", "P1,P2,...",
+        [&](const char* v) { return parse_int_list(v, opt.sweep); }},
+       {"--seed", "S", cli::integer(opt.seed)},
+       {"--split", "N", cli::integer(opt.response_split, 1)},
+       {"--include-degraded", nullptr,
+        cli::set(model_opt.include_degraded, true)},
+       {"--synth-costs", nullptr, cli::set(synth_costs, true)},
+       {"--gantt", "[DRIVER]",
+        [&](const char* v) {
+          gantt = true;
+          gantt_driver = v ? v : "";
+          return true;
+        }},
+       {"--json", "FILE", cli::text(json_path)}});
+  if (!parsed) return 2;
 
   acx::RealFileSystem fs;
   acx::sched::CostModel model;

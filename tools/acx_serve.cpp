@@ -1,204 +1,45 @@
 // acx_serve — resident accelerogram-processing service.
 //
-//   acx_serve --spool DIR --work DIR
-//             [--driver seq|seq-opt|partial|full|pool] [--threads N]
-//             [--event-workers N] [--queue-capacity N] [--shards N]
-//             [--priority fifo|largest|smallest] [--poll-ms MS]
-//             [--max-events N] [--idle-exit-s S] [--stats-every N]
-//             [--soft-deadline-s S] [--hard-deadline-s S]
-//             [--max-retries N] [--jitter-seed N]
-//             [--storage-latency-ms MS] [--storage-jitter-ms MS]
-//             [--storage-fail-p P] [--storage-seed N]
-//             [--breaker-threshold N] [--breaker-open-s S]
-//             [--breaker-probes N]
-//             [--stats]
+//   acx_serve --spool DIR --work DIR [--poll-ms MS] [--max-events N]
+//             [--idle-exit-s S] [--stats-every N] [--stats]
+//             [the runner flags shared with acx_batch; tools/cli.cpp]
 //
-// Watches --spool for event manifests ({"event": ID, "input": DIR}
-// JSON files, delivered by atomic rename; see docs/SERVE.md for the
-// full protocol) and runs each admitted event through the standard
-// pipeline + modeled storage stack. The record-level fan-out of every
-// event runs on ONE persistent work-stealing pool (util/work_pool.hpp)
-// owned by this process, so thread-team spin-up and plan-cache warm-up
-// are paid once per service lifetime instead of once per event — the
-// amortization serve_stats.json's plan-cache trajectory documents.
+// Watches --spool for event manifests (docs/SERVE.md has the protocol)
+// and runs each admitted event on the event engine over the modeled
+// storage stack, with every event's record fan-out on ONE persistent
+// work-stealing pool owned by this process: thread spin-up and
+// plan-cache warm-up are paid once per service lifetime. A restart
+// re-serves whatever a killed instance had claimed.
 //
 // Stops on the `shutdown` sentinel (drains first), after --max-events,
 // or after --idle-exit-s of quiet. Exit codes: 0 = every served event
 // ok; 3 = served but some event degraded/quarantined or some manifest
-// rejected; 1 = the service itself failed.
+// rejected; 1 = the service itself failed; 2 = usage.
 
 #include <cstdio>
-#include <cstdlib>
-#include <memory>
 #include <string>
 
+#include "cli.hpp"
 #include "pipeline/serve.hpp"
-#include "util/breaker.hpp"
-#include "util/faultfs.hpp"
-#include "util/fs.hpp"
-#include "util/slowfs.hpp"
 #include "util/work_pool.hpp"
-
-namespace {
-
-int usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s --spool DIR --work DIR "
-      "[--driver seq|seq-opt|partial|full|pool] [--threads N] "
-      "[--event-workers N] [--queue-capacity N] [--shards N] "
-      "[--priority fifo|largest|smallest] [--poll-ms MS] "
-      "[--max-events N] [--idle-exit-s S] [--stats-every N] "
-      "[--soft-deadline-s S] [--hard-deadline-s S] "
-      "[--max-retries N] [--jitter-seed N] "
-      "[--storage-latency-ms MS] [--storage-jitter-ms MS] "
-      "[--storage-fail-p P] [--storage-seed N] "
-      "[--breaker-threshold N] [--breaker-open-s S] [--breaker-probes N] "
-      "[--stats]\n",
-      argv0);
-  return 2;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   std::string spool_dir, work_root;
   bool stats_to_stdout = false;
   acx::pipeline::ServeConfig cfg;
-  cfg.runner.driver = acx::pipeline::Driver::kPool;
-  acx::storage::SlowConfig slow;
-  acx::faultfs::FaultConfig faults;
-  acx::storage::BreakerConfig breaker_cfg;
-  double storage_fail_p = 0;
+  acx::cli::StorageModel model;
+  const bool parsed = acx::cli::parse_runner_flags(
+      argc, argv,
+      {{"--spool", "DIR", acx::cli::text(spool_dir), true},
+       {"--poll-ms", "MS", acx::cli::integer(cfg.poll_ms, 1)},
+       {"--max-events", "N", acx::cli::integer(cfg.max_events, 0)},
+       {"--idle-exit-s", "S", acx::cli::number(cfg.idle_exit_seconds, 0)},
+       {"--stats-every", "N", acx::cli::integer(cfg.stats_every, 1)},
+       {"--stats", nullptr, acx::cli::set(stats_to_stdout, true)}},
+      cfg, work_root, model);
+  if (!parsed) return 2;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    const char* v = nullptr;
-    if (arg == "--spool") {
-      if (!(v = next())) return usage(argv[0]);
-      spool_dir = v;
-    } else if (arg == "--work") {
-      if (!(v = next())) return usage(argv[0]);
-      work_root = v;
-    } else if (arg == "--driver") {
-      if (!(v = next())) return usage(argv[0]);
-      auto driver = acx::pipeline::parse_driver(v);
-      if (!driver) {
-        std::fprintf(stderr, "acx_serve: unknown driver '%s'\n", v);
-        return usage(argv[0]);
-      }
-      cfg.runner.driver = *driver;
-    } else if (arg == "--threads") {
-      if (!(v = next())) return usage(argv[0]);
-      cfg.runner.threads = std::atoi(v);
-      if (cfg.runner.threads < 0) return usage(argv[0]);
-    } else if (arg == "--event-workers") {
-      if (!(v = next())) return usage(argv[0]);
-      cfg.event_workers = std::atoi(v);
-      if (cfg.event_workers < 1) return usage(argv[0]);
-    } else if (arg == "--queue-capacity") {
-      if (!(v = next())) return usage(argv[0]);
-      const int n = std::atoi(v);
-      if (n < 1) return usage(argv[0]);
-      cfg.queue_capacity = static_cast<std::size_t>(n);
-    } else if (arg == "--shards") {
-      if (!(v = next())) return usage(argv[0]);
-      cfg.shards = std::atoi(v);
-      if (cfg.shards < 1) return usage(argv[0]);
-    } else if (arg == "--priority") {
-      if (!(v = next())) return usage(argv[0]);
-      auto p = acx::pipeline::parse_priority(v);
-      if (!p) {
-        std::fprintf(stderr, "acx_serve: unknown priority '%s'\n", v);
-        return usage(argv[0]);
-      }
-      cfg.priority = *p;
-    } else if (arg == "--poll-ms") {
-      if (!(v = next())) return usage(argv[0]);
-      cfg.poll_ms = std::atoi(v);
-      if (cfg.poll_ms < 1) return usage(argv[0]);
-    } else if (arg == "--max-events") {
-      if (!(v = next())) return usage(argv[0]);
-      cfg.max_events = std::atoll(v);
-      if (cfg.max_events < 0) return usage(argv[0]);
-    } else if (arg == "--idle-exit-s") {
-      if (!(v = next())) return usage(argv[0]);
-      cfg.idle_exit_seconds = std::atof(v);
-      if (cfg.idle_exit_seconds < 0) return usage(argv[0]);
-    } else if (arg == "--stats-every") {
-      if (!(v = next())) return usage(argv[0]);
-      cfg.stats_every = std::atoi(v);
-      if (cfg.stats_every < 1) return usage(argv[0]);
-    } else if (arg == "--soft-deadline-s") {
-      if (!(v = next())) return usage(argv[0]);
-      cfg.runner.deadline.soft_seconds = std::atof(v);
-    } else if (arg == "--hard-deadline-s") {
-      if (!(v = next())) return usage(argv[0]);
-      cfg.runner.deadline.hard_seconds = std::atof(v);
-    } else if (arg == "--max-retries") {
-      if (!(v = next())) return usage(argv[0]);
-      cfg.runner.retry.max_attempts = std::max(1, std::atoi(v) + 1);
-    } else if (arg == "--jitter-seed") {
-      if (!(v = next())) return usage(argv[0]);
-      cfg.runner.retry.jitter_seed = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--storage-latency-ms") {
-      if (!(v = next())) return usage(argv[0]);
-      slow.base_ms = std::atof(v);
-    } else if (arg == "--storage-jitter-ms") {
-      if (!(v = next())) return usage(argv[0]);
-      slow.jitter_ms = std::atof(v);
-    } else if (arg == "--storage-fail-p") {
-      if (!(v = next())) return usage(argv[0]);
-      storage_fail_p = std::atof(v);
-      if (storage_fail_p < 0 || storage_fail_p >= 1) return usage(argv[0]);
-    } else if (arg == "--storage-seed") {
-      if (!(v = next())) return usage(argv[0]);
-      const std::uint64_t seed = std::strtoull(v, nullptr, 10);
-      faults.seed = seed;
-      slow.seed = seed;
-    } else if (arg == "--breaker-threshold") {
-      if (!(v = next())) return usage(argv[0]);
-      breaker_cfg.failure_threshold = std::atoi(v);
-      if (breaker_cfg.failure_threshold < 1) return usage(argv[0]);
-    } else if (arg == "--breaker-open-s") {
-      if (!(v = next())) return usage(argv[0]);
-      breaker_cfg.open_seconds = std::atof(v);
-    } else if (arg == "--breaker-probes") {
-      if (!(v = next())) return usage(argv[0]);
-      breaker_cfg.half_open_probes = std::atoi(v);
-      if (breaker_cfg.half_open_probes < 1) return usage(argv[0]);
-    } else if (arg == "--stats") {
-      stats_to_stdout = true;
-    } else {
-      return usage(argv[0]);
-    }
-  }
-  if (spool_dir.empty() || work_root.empty()) return usage(argv[0]);
-
-  // Same modeled storage stack as acx_batch: real disk, optionally
-  // flaky, optionally slow, always behind the circuit breaker.
-  acx::RealFileSystem real;
-  acx::FileSystem* backend = &real;
-  std::unique_ptr<acx::faultfs::FaultyFileSystem> faulty;
-  if (storage_fail_p > 0) {
-    faults.read_fail_p = storage_fail_p;
-    faults.write_fail_p = storage_fail_p;
-    faults.rename_fail_p = storage_fail_p;
-    faulty = std::make_unique<acx::faultfs::FaultyFileSystem>(*backend, faults);
-    backend = faulty.get();
-  }
-  std::unique_ptr<acx::storage::SlowFileSystem> slowed;
-  if (slow.base_ms > 0 || slow.jitter_ms > 0 || slow.per_kib_ms > 0) {
-    slowed = std::make_unique<acx::storage::SlowFileSystem>(*backend, slow);
-    backend = slowed.get();
-  }
-  acx::storage::CircuitBreaker breaker(breaker_cfg);
-  acx::storage::BreakerFileSystem fs(*backend, breaker);
-  cfg.runner.breaker = &breaker;
-
+  acx::cli::StorageStack storage(model, cfg);
   // The process-lifetime pool: every event's record fan-out lands here.
   acx::WorkPool pool(cfg.runner.threads);
   cfg.pool = &pool;
@@ -210,8 +51,8 @@ int main(int argc, char** argv) {
                pool.thread_count(), pool.thread_count() == 1 ? "" : "s",
                cfg.event_workers, cfg.event_workers == 1 ? "" : "s");
 
-  acx::pipeline::SpoolServer server(fs, cfg);
-  auto run = server.run(spool_dir, work_root);
+  auto run = acx::pipeline::SpoolServer(storage.fs(), cfg)
+                 .run(spool_dir, work_root);
   pool.shutdown();
   if (!run.ok()) {
     std::fprintf(stderr, "acx_serve: service failed: %s\n",
@@ -226,20 +67,13 @@ int main(int argc, char** argv) {
       "%lld duplicate\n",
       stats.served, stats.ok, stats.degraded, stats.quarantined,
       stats.uptime_seconds, stats.malformed, stats.duplicates);
+  const double up = stats.uptime_seconds;
   std::printf(
       "  sustained: %.1f records/s, %.0f points/s; plan cache "
       "%lld hits / %lld misses\n",
-      stats.uptime_seconds > 0
-          ? (stats.records_ok + stats.records_degraded) / stats.uptime_seconds
-          : 0.0,
-      stats.uptime_seconds > 0 ? stats.points / stats.uptime_seconds : 0.0,
+      up > 0 ? stats.records_ok / up : 0.0, up > 0 ? stats.points / up : 0.0,
       stats.cache_hits, stats.cache_misses);
-  if (stats.breaker_rejected_ops > 0 || stats.breaker_opens > 0) {
-    std::printf(
-        "  breaker: %lld ops rejected, %d opens, %d half-open recoveries\n",
-        stats.breaker_rejected_ops, stats.breaker_opens,
-        stats.breaker_half_open_recoveries);
-  }
+  acx::cli::print_breaker(stats.breaker);
   if (stats_to_stdout) std::fputs(stats.dump().c_str(), stdout);
 
   const bool clean = stats.served == stats.ok && stats.malformed == 0 &&

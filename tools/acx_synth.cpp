@@ -7,22 +7,10 @@
 // files. Same (event, scale, seed) always produces identical bytes.
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "cli.hpp"
 #include "synth/synth.hpp"
-
-namespace {
-
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s --out DIR [--paper-event N] [--scale F] [--seed S]\n"
-               "       %s --list\n",
-               argv0, argv0);
-  return 2;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   std::string out_dir;
@@ -30,34 +18,14 @@ int main(int argc, char** argv) {
   double scale = 1.0;
   std::uint64_t seed = 42;
   bool list = false;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--out") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      out_dir = v;
-    } else if (arg == "--paper-event") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      event_index = std::atoi(v);
-    } else if (arg == "--scale") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      scale = std::atof(v);
-    } else if (arg == "--seed") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      seed = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--list") {
-      list = true;
-    } else {
-      return usage(argv[0]);
-    }
-  }
+  const bool parsed = acx::cli::parse_flags(
+      argc, argv,
+      {{"--out", "DIR", acx::cli::text(out_dir)},
+       {"--paper-event", "N", acx::cli::integer(event_index)},
+       {"--scale", "F", acx::cli::number(scale)},
+       {"--seed", "S", acx::cli::integer(seed)},
+       {"--list", nullptr, acx::cli::set(list, true)}});
+  if (!parsed) return 2;
 
   const auto events = acx::synth::paper_events();
   if (list) {
@@ -70,7 +38,10 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (out_dir.empty()) return usage(argv[0]);
+  if (out_dir.empty()) {
+    std::fprintf(stderr, "acx_synth: --out DIR is required (or --list)\n");
+    return 2;
+  }
   if (event_index < 1 || event_index > static_cast<int>(events.size())) {
     std::fprintf(stderr, "acx_synth: --paper-event must be 1..%zu\n",
                  events.size());

@@ -7,21 +7,13 @@
 #include <cstdio>
 #include <string>
 
+#include "cli.hpp"
 #include "pipeline/validate.hpp"
 
 int main(int argc, char** argv) {
   std::string work_dir;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--work" && i + 1 < argc) {
-      work_dir = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: %s --work DIR\n", argv[0]);
-      return 2;
-    }
-  }
-  if (work_dir.empty()) {
-    std::fprintf(stderr, "usage: %s --work DIR\n", argv[0]);
+  if (!acx::cli::parse_flags(
+          argc, argv, {{"--work", "DIR", acx::cli::text(work_dir), true}})) {
     return 2;
   }
 
