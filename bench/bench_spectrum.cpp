@@ -130,10 +130,11 @@ void BM_SdofBatchBlock(benchmark::State& state) {
                           static_cast<long>(acx::spectrum::kSdofBatchBlock));
 }
 
-// Reduced RotD workload shared by the sweep/reference pair: the full
-// paper grid x 180 angles costs seconds per iteration, far too slow to
-// gate. 120 cells x 16 angles keeps the shape (rotate + batched
-// Nigam-Jennings per angle, percentile combine) at CI-friendly cost.
+// Reduced RotD workload shared by the kernel/reference pair: the
+// reference on the full paper grid x 180 angles costs seconds per
+// iteration, far too slow to gate. 120 cells x 16 angles keeps the
+// shape (two recurrences per cell, pruned projection onto the sweep,
+// percentile combine) at CI-friendly cost.
 acx::spectrum::ResponseGrid rotd_bench_grid() {
   acx::spectrum::ResponseGrid grid;
   for (int i = 0; i < 60; ++i) {
@@ -156,8 +157,8 @@ std::vector<double> rotd_bench_component(std::size_t n, double phase) {
 }
 
 void BM_RotdSweep(benchmark::State& state) {
-  // The batched angle sweep over a cached plan — the station stage's
-  // kernel, at the reduced workload.
+  // The linear-projection kernel over a cached plan — the station
+  // stage's kernel, at the reduced workload.
   const auto l = rotd_bench_component(static_cast<std::size_t>(state.range(0)),
                                       0.0);
   const auto t = rotd_bench_component(static_cast<std::size_t>(state.range(0)),

@@ -151,7 +151,8 @@ done < <(grep -ohE '\b(storage|batch|station)\.[a-z_]+\b' docs/*.md | sort -u)
 for key in version tool procs seed response_split anchor source records \
            points excluded flagged measured drivers work span makespan \
            brent_lower brent_upper speedup stages stage redundant tasks \
-           seq_seconds share modeled_seconds sweep floored_costs; do
+           seq_seconds share station_scoped station_share modeled_seconds \
+           sweep floored_costs; do
   if ! grep -q "\"$key\"" src/sched/analysis.cpp; then
     echo "docs-rot: docs/SCHED.md documents sched-report key '$key'" \
          "but src/sched/analysis.cpp no longer emits it" >&2

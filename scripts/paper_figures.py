@@ -13,8 +13,10 @@ DIR:
               modeled driver makespans and their speedups vs the
               report's anchor driver — the Table I reproduction.
   fig11.csv   one row per pipeline stage of the event with the most
-              points: sequential cost, share of anchor work, modeled
-              cost on P procs, per-stage modeled speedup — Fig. 11.
+              points: sequential cost, share of the anchor's paper-chain
+              (record-scoped) work — or, for a station-scoped stage, its
+              share of all anchor work in its own column — modeled cost
+              on P procs, per-stage modeled speedup — Fig. 11.
   fig13.csv   one row per event sorted by points ascending: full-driver
               modeled speedup and throughput (points per modeled
               second) — the Fig. 13 scaling story.
@@ -25,7 +27,7 @@ every event and exits 1 on violation:
   * the full driver's modeled speedup exceeds the partial driver's,
     which exceeds the sequential-optimized driver's;
   * the response stage (Stage IX) has the largest modeled per-stage
-    speedup;
+    speedup and the largest share of the paper chain's work;
   * every driver's makespan respects Brent's bounds
     max(T1/P, Tinf) <= Tp <= T1/P + Tinf (small float tolerance).
 
@@ -37,7 +39,7 @@ import json
 import os
 import sys
 
-SCHED_VERSION = 1
+SCHED_VERSION = 2
 
 TABLE1_COLUMNS = [
     "event", "records", "points", "seq_measured_s", "seq_opt_measured_s",
@@ -45,8 +47,8 @@ TABLE1_COLUMNS = [
     "seq_opt_speedup", "partial_speedup", "full_speedup",
 ]
 FIG11_COLUMNS = [
-    "stage", "redundant", "tasks", "seq_seconds", "share",
-    "modeled_seconds", "modeled_speedup",
+    "stage", "redundant", "station_scoped", "tasks", "seq_seconds", "share",
+    "station_share", "modeled_seconds", "modeled_speedup",
 ]
 FIG13_COLUMNS = [
     "event", "records", "points", "full_speedup", "points_per_second",
@@ -114,6 +116,12 @@ def check_event(event, doc, failures):
         failures.append(
             f"{event}: largest per-stage speedup is {best['stage']} "
             f"({best['speedup']:.2f}x), expected response")
+    paper = [s for s in doc["stages"] if not s["station_scoped"]]
+    heaviest = max(paper, key=lambda s: s["share"])
+    if heaviest["stage"] != "response":
+        failures.append(
+            f"{event}: largest paper-chain share is {heaviest['stage']} "
+            f"({heaviest['share']:.4f}), expected response")
     for row in doc["drivers"]:
         lower = max(row["work"] / procs, row["span"])
         upper = row["work"] / procs + row["span"]
@@ -170,12 +178,15 @@ def main(argv):
     fig_event, fig_doc = max(pairs, key=lambda p: p[1]["points"])
     fig11 = []
     for stage in fig_doc["stages"]:
+        station = stage["station_scoped"]
         fig11.append({
             "stage": stage["stage"],
             "redundant": int(stage["redundant"]),
+            "station_scoped": int(station),
             "tasks": stage["tasks"],
             "seq_seconds": fmt(stage["seq_seconds"]),
-            "share": fmt(stage["share"], 4),
+            "share": "" if station else fmt(stage["share"], 4),
+            "station_share": fmt(stage["station_share"], 4) if station else "",
             "modeled_seconds": fmt(stage["modeled_seconds"]),
             "modeled_speedup": fmt(stage["speedup"], 3),
         })

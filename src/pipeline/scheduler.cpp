@@ -57,7 +57,7 @@ class SequentialScheduler final : public Scheduler {
 
 // The two OpenMP drivers share their station phase: one
 // schedule(dynamic, 1) loop over the eligible stations, whole stations
-// across the team. Under the full driver the rotd kernel's own angle
+// across the team. Under the full driver the rotd kernel's cell-block
 // loop is the nested level, like the response stage's period loop.
 class OmpScheduler : public Scheduler {
  public:

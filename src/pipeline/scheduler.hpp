@@ -24,7 +24,7 @@ class Scheduler {
   // the slots the runner deemed eligible. The default is serial (the
   // sequential drivers); the parallel drivers fan stations out the way
   // they fan records. Outputs are bit-identical either way — the rotd
-  // sweep is static-scheduled and its combination pass is serial.
+  // kernel's cell blocks are static-scheduled and write disjoint cells.
   virtual void run_stations(RecordExecutor& exec,
                             std::vector<StationSlot*>& slots) {
     for (StationSlot* slot : slots) exec.run_station(*slot);

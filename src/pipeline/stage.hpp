@@ -79,8 +79,9 @@ struct SpectrumConfig {
   // kernel serial; the full driver sets it to the run's team size.
   int response_threads = 1;
   // Rotation angles of the station-scoped RotD sweep (1° steps over
-  // a half turn by default — see src/spectrum/rotd.hpp). The sweep
-  // fans across response_threads like the response stage.
+  // a half turn by default — see src/spectrum/rotd.hpp). The kernel
+  // fans its cell blocks across response_threads like the response
+  // stage.
   int rotd_angles = 180;
 };
 

@@ -96,6 +96,7 @@ Result<SchedModel, std::string> analyze(
     StageModel sm;
     sm.stage = s.name;
     sm.redundant = s.redundant;
+    sm.station_scoped = s.station_scoped;
     sm.seq_seconds = model.stage_work(s.name);
     TaskGraph isolated = stage_graph(model, s.name, graph_opt);
     sm.tasks = static_cast<int>(isolated.tasks.size());
@@ -107,8 +108,16 @@ Result<SchedModel, std::string> analyze(
     out.stages.push_back(std::move(sm));
   }
   const double anchor_work = out.driver(out.anchor)->work;
+  double paper_work = anchor_work;
+  for (const StageModel& sm : out.stages) {
+    if (sm.station_scoped) paper_work -= sm.seq_seconds;
+  }
   for (StageModel& sm : out.stages) {
-    sm.share = anchor_work > 0 ? sm.seq_seconds / anchor_work : 0;
+    if (sm.station_scoped) {
+      sm.station_share = anchor_work > 0 ? sm.seq_seconds / anchor_work : 0;
+    } else {
+      sm.share = paper_work > 0 ? sm.seq_seconds / paper_work : 0;
+    }
   }
 
   for (const int procs : options.sweep) {
@@ -128,7 +137,7 @@ Result<SchedModel, std::string> analyze(
 
 Json SchedModel::to_json() const {
   Json root = Json::object();
-  root.set("version", 1);
+  root.set("version", 2);
   root.set("tool", "acx_sched");
   root.set("procs", procs);
   root.set("seed", static_cast<double>(seed));
@@ -177,9 +186,11 @@ Json SchedModel::to_json() const {
     Json js = Json::object();
     js.set("stage", s.stage);
     js.set("redundant", s.redundant);
+    js.set("station_scoped", s.station_scoped);
     js.set("tasks", s.tasks);
     js.set("seq_seconds", s.seq_seconds);
     js.set("share", s.share);
+    js.set("station_share", s.station_share);
     js.set("modeled_seconds", s.modeled_seconds);
     js.set("speedup", s.speedup);
     jstages.push(std::move(js));

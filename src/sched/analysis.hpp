@@ -43,12 +43,17 @@ struct DriverModel {
 };
 
 // One stage modeled in isolation on P processors — the Fig. 11 rows.
+// The paper's chain is record-scoped; a station-scoped stage (rotd) is
+// a repo extension, so it carries its share in its own field and stays
+// out of the paper-chain denominator.
 struct StageModel {
   std::string stage;
   bool redundant = false;
+  bool station_scoped = false;
   int tasks = 0;
   double seq_seconds = 0;  // summed cost across records
-  double share = 0;        // of the full-graph work
+  double share = 0;  // record-scoped rows: of the anchor's paper-chain work
+  double station_share = 0;  // station-scoped rows: of all anchor work
   double modeled_seconds = 0;
   double speedup = 0;  // seq_seconds / modeled_seconds
 };

@@ -366,6 +366,37 @@ TEST(SchedAnalysis, AnchorsOnSeqOptWhenRedundantCostsAbsent) {
             res.value().driver("seq-opt")->speedup);
 }
 
+TEST(SchedAnalysis, StationStagesStayOutOfThePaperChainShares) {
+  // A station pseudo-row (rotd, a repo extension) must not dilute the
+  // paper chain's shares: record-scoped shares are of record-scoped
+  // work and sum to 1; the station row carries its share of all work
+  // in station_share instead.
+  CostModel m = toy_model();
+  RecordCosts station;
+  station.record = "ST01";
+  station.stage_seconds["rotd"] = 6.0;
+  m.records.push_back(station);
+  auto res = analyze(m, pipeline::StageGraph::standard().shape(), {});
+  ASSERT_TRUE(res.ok()) << res.error();
+  const double paper_work = 3.75 + 2.6 + 2.55;
+  double paper_shares = 0;
+  for (const StageModel& s : res.value().stages) {
+    if (s.stage == "rotd") {
+      EXPECT_TRUE(s.station_scoped);
+      EXPECT_EQ(s.share, 0.0);
+      EXPECT_NEAR(s.station_share, 6.0 / (paper_work + 6.0), 1e-12);
+      continue;
+    }
+    EXPECT_FALSE(s.station_scoped) << s.stage;
+    EXPECT_EQ(s.station_share, 0.0) << s.stage;
+    paper_shares += s.share;
+    if (s.stage == "response") {
+      EXPECT_NEAR(s.share, 6.5 / paper_work, 1e-12);
+    }
+  }
+  EXPECT_NEAR(paper_shares, 1.0, 1e-12);
+}
+
 TEST(SchedAnalysis, UnknownStageInCostsIsRejected) {
   CostModel m = toy_model();
   m.records[0].stage_seconds["not_a_stage"] = 1.0;

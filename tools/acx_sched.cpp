@@ -159,11 +159,17 @@ int main(int argc, char** argv) {
                 d.brent_upper, d.speedup);
   }
 
-  std::printf("\n%-14s %6s %12s %8s %12s %9s\n", "stage", "tasks",
-              "seq cost", "share", "modeled", "speedup");
+  // `share` is of the paper chain's work; a station-scoped row shows
+  // its share of all work under `station` instead.
+  std::printf("\n%-14s %6s %12s %8s %8s %12s %9s\n", "stage", "tasks",
+              "seq cost", "share", "station", "modeled", "speedup");
   for (const auto& s : result.stages) {
-    std::printf("%-14s %6d %11.6fs %7.2f%% %11.6fs %8.2fx%s\n",
-                s.stage.c_str(), s.tasks, s.seq_seconds, 100.0 * s.share,
+    char share[16], station[16];
+    std::snprintf(share, sizeof share, "%.2f%%", 100.0 * s.share);
+    std::snprintf(station, sizeof station, "%.2f%%", 100.0 * s.station_share);
+    std::printf("%-14s %6d %11.6fs %8s %8s %11.6fs %8.2fx%s\n",
+                s.stage.c_str(), s.tasks, s.seq_seconds,
+                s.station_scoped ? "-" : share, s.station_scoped ? station : "-",
                 s.modeled_seconds, s.speedup,
                 s.redundant ? "  (redundant)" : "");
   }
