@@ -6,9 +6,9 @@
 namespace acx::formats {
 
 // Typed parse diagnostics for the strict format readers (V1/V2 records,
-// F/R spectra). Every rejection
-// carries the code, the byte offset and 1-based line where the reader
-// stopped, and a human-readable detail. Parse errors are always poison:
+// F/R spectra, RD station spectra). Every rejection carries the code,
+// the byte offset and 1-based line where the reader stopped, and a
+// human-readable detail. Parse errors are always poison:
 // re-reading the same bytes cannot succeed.
 struct ParseError {
   enum class Code {

@@ -1,4 +1,4 @@
-#include <cmath>
+#include <algorithm>
 #include <cstdio>
 #include <string_view>
 
@@ -12,10 +12,8 @@ namespace {
 
 using Code = ParseError::Code;
 using scan::err;
-using scan::is_date;
 using scan::is_ident;
 using scan::parse_full_double;
-using scan::parse_full_long;
 
 struct ParsedRecord {
   Record record;
@@ -25,208 +23,93 @@ struct ParsedRecord {
 };
 
 // "PGA <value> <time>": two finite numbers, time non-negative.
-bool parse_peak_entry(std::string_view s, PeakEntry& out) {
-  const std::size_t sp = s.find(' ');
-  if (sp == std::string_view::npos) return false;
-  double value = 0, time = 0;
-  if (!parse_full_double(s.substr(0, sp), value) ||
-      !parse_full_double(s.substr(sp + 1), time)) {
-    return false;
-  }
-  if (!std::isfinite(value) || !std::isfinite(time) || time < 0) return false;
-  out.value = value;
-  out.time = time;
-  return true;
+scan::Field peak_field(std::string_view key, PeakEntry& dst) {
+  return {key, /*required=*/false,
+          [key, &dst](std::string_view val) -> std::string {
+            const std::size_t sp = val.find(' ');
+            double value = 0, time = 0;
+            if (sp == std::string_view::npos ||
+                !parse_full_double(val.substr(0, sp), value) ||
+                !parse_full_double(val.substr(sp + 1), time) ||
+                !scan::in_range(value) || !scan::in_range(time) || time < 0) {
+              return std::string(key) +
+                     " must be '<value> <time>' with finite value and "
+                     "non-negative time; got '" +
+                     std::string(val) + "'";
+            }
+            dst = {value, time};
+            return {};
+          }};
 }
 
 Result<ParsedRecord, ParseError> read_record(std::string_view content,
                                              std::string_view magic,
                                              bool is_v2,
                                              bool header_only = false) {
-  if (content.empty()) return err(Code::kEmptyFile, 0, 0, "file is empty");
-
-  auto ascii = scan::check_ascii(content);
-  if (!ascii.ok()) return std::move(ascii).take_error();
-
-  scan::LineReader lines{content};
-  std::string_view line;
-
-  auto magic_ok = scan::read_magic(lines, magic);
-  if (!magic_ok.ok()) return std::move(magic_ok).take_error();
-
-  // Header fields until the DATA marker.
   ParsedRecord out;
   RecordHeader& h = out.record.header;
-  bool seen[11] = {};  // STATION COMPONENT EVENT DATE DT NPTS UNITS PROCESSED
-                       // PGA PGV PGD
-  enum Field {
-    kStation, kComponent, kEvent, kDate, kDt, kNpts, kUnits, kProcessed,
-    kPga, kPgv, kPgd
-  };
-  static constexpr const char* kFieldNames[] = {
-      "STATION", "COMPONENT", "EVENT", "DATE", "DT", "NPTS", "UNITS",
-      "PROCESSED", "PGA", "PGV", "PGD"};
-  constexpr int kFieldCount = 11;
-  bool saw_data_marker = false;
-
-  while (lines.next(line)) {
-    if (line == "DATA") {
-      saw_data_marker = true;
-      break;
-    }
-    // Processing-history comments are part of the corrected format
-    // only; V1 stays maximally strict.
-    if (is_v2 && !line.empty() && line[0] == '#') {
-      std::string_view body = line.substr(1);
-      if (!body.empty() && body[0] == ' ') body.remove_prefix(1);
-      out.comments.emplace_back(body);
-      continue;
-    }
-    const std::size_t sp = line.find(' ');
-    const std::string_view key = line.substr(0, sp);
-    const std::string_view val =
-        sp == std::string_view::npos ? std::string_view{} : line.substr(sp + 1);
-    const std::size_t off = lines.line_start;
-    const std::size_t ln = lines.line_no;
-
-    int field = -1;
-    for (int f = 0; f < kFieldCount; ++f) {
-      if (key == kFieldNames[f]) {
-        field = f;
-        break;
-      }
-    }
-    if (field < 0 || (field >= kProcessed && !is_v2)) {
-      return err(Code::kBadHeaderField, off, ln,
-                 "unknown header field '" + std::string(key) + "'");
-    }
-    if (seen[field]) {
-      return err(Code::kDuplicateHeaderField, off, ln,
-                 "duplicate header field '" + std::string(key) + "'");
-    }
-    seen[field] = true;
-
-    switch (field) {
-      case kStation:
-        if (!is_ident(val)) {
-          return err(Code::kBadHeaderField, off, ln,
-                     "STATION must be a non-empty identifier");
-        }
-        h.station = std::string(val);
-        break;
-      case kComponent:
-        if (val != "l" && val != "t" && val != "v") {
-          return err(Code::kBadHeaderField, off, ln,
-                     "COMPONENT must be one of l, t, v; got '" +
-                         std::string(val) + "'");
-        }
-        h.component = std::string(val);
-        break;
-      case kEvent:
-        if (!is_ident(val)) {
-          return err(Code::kBadHeaderField, off, ln,
-                     "EVENT must be a non-empty identifier");
-        }
-        h.event_id = std::string(val);
-        break;
-      case kDate:
-        if (!is_date(val)) {
-          return err(Code::kBadHeaderField, off, ln,
-                     "DATE must be yyyy-mm-dd; got '" + std::string(val) + "'");
-        }
-        h.date = std::string(val);
-        break;
-      case kDt: {
-        double dt = 0;
-        if (!parse_full_double(val, dt) || !std::isfinite(dt) || dt <= 0) {
-          return err(Code::kBadHeaderField, off, ln,
-                     "DT must be a finite positive number; got '" +
-                         std::string(val) + "'");
-        }
-        h.dt = dt;
-        break;
-      }
-      case kNpts: {
-        long n = 0;
-        if (!parse_full_long(val, n) || n <= 0 || n > scan::kMaxNpts) {
-          return err(Code::kBadHeaderField, off, ln,
-                     "NPTS must be in [1, " + std::to_string(scan::kMaxNpts) +
-                         "]; got '" + std::string(val) + "'");
-        }
-        h.npts = n;
-        break;
-      }
-      case kUnits:
-        if (val != "counts" && val != "cm/s2") {
-          return err(Code::kBadUnits, off, ln,
-                     "UNITS must be 'counts' or 'cm/s2'; got '" +
-                         std::string(val) + "'");
-        }
-        if (is_v2 && val != "cm/s2") {
-          return err(Code::kBadUnits, off, ln, "V2 records must be in cm/s2");
-        }
-        h.units = std::string(val);
-        break;
-      case kProcessed: {
-        std::string_view rest = val;
-        while (!rest.empty()) {
-          const std::size_t comma = rest.find(',');
-          const std::string_view stage = rest.substr(0, comma);
-          if (!is_ident(stage)) {
-            return err(Code::kBadHeaderField, off, ln,
-                       "PROCESSED must be a comma-separated stage list");
-          }
-          out.processing.emplace_back(stage);
-          rest = comma == std::string_view::npos ? std::string_view{}
-                                                 : rest.substr(comma + 1);
-        }
-        if (out.processing.empty()) {
-          return err(Code::kBadHeaderField, off, ln,
-                     "PROCESSED must name at least one stage");
-        }
-        break;
-      }
-      case kPga:
-      case kPgv:
-      case kPgd: {
-        PeakEntry& entry = field == kPga   ? out.peaks.pga
-                           : field == kPgv ? out.peaks.pgv
-                                           : out.peaks.pgd;
-        if (!parse_peak_entry(val, entry)) {
-          return err(Code::kBadHeaderField, off, ln,
-                     std::string(kFieldNames[field]) +
-                         " must be '<value> <time>' with finite value and "
-                         "non-negative time; got '" +
-                         std::string(val) + "'");
-        }
-        break;
-      }
-    }
+  std::vector<scan::Field> table = scan::record_fields(h);
+  table.push_back(scan::count_field("NPTS", h.npts));
+  table.push_back({"UNITS", true,
+                   [&h, is_v2](std::string_view val) -> std::string {
+                     if (val != "counts" && val != "cm/s2") {
+                       return "UNITS must be 'counts' or 'cm/s2'; got '" +
+                              std::string(val) + "'";
+                     }
+                     if (is_v2 && val != "cm/s2") {
+                       return "V2 records must be in cm/s2";
+                     }
+                     h.units = val;
+                     return {};
+                   },
+                   Code::kBadUnits});
+  if (is_v2) {
+    table.push_back(
+        {"PROCESSED", true, [&out](std::string_view val) -> std::string {
+           std::string_view rest = val;
+           while (!rest.empty()) {
+             const std::size_t comma = rest.find(',');
+             const std::string_view stage = rest.substr(0, comma);
+             if (!is_ident(stage)) {
+               return "PROCESSED must be a comma-separated stage list";
+             }
+             out.processing.emplace_back(stage);
+             rest = comma == std::string_view::npos ? std::string_view{}
+                                                    : rest.substr(comma + 1);
+           }
+           if (out.processing.empty()) {
+             return "PROCESSED must name at least one stage";
+           }
+           return {};
+         }});
+    table.push_back(peak_field("PGA", out.peaks.pga));
+    table.push_back(peak_field("PGV", out.peaks.pgv));
+    table.push_back(peak_field("PGD", out.peaks.pgd));
   }
 
-  if (!saw_data_marker) {
-    return err(Code::kMissingDataMarker, content.size(), lines.line_no,
-               "no DATA marker before end of file");
-  }
-  const int required = is_v2 ? 8 : 7;
-  for (int f = 0; f < required; ++f) {
-    if (!seen[f]) {
+  // Processing-history comments are part of the corrected format only;
+  // V1 stays maximally strict.
+  scan::LineReader lines{content};
+  auto seen = scan::scan_header(lines, magic, table,
+                                is_v2 ? &out.comments : nullptr);
+  if (!seen.ok()) return std::move(seen).take_error();
+
+  // The peak block (the last three entries) is optional but
+  // all-or-nothing.
+  if (is_v2) {
+    const auto peaks_seen =
+        std::count(seen.value().end() - 3, seen.value().end(), true);
+    if (peaks_seen != 0 && peaks_seen != 3) {
       return err(Code::kMissingHeaderField, lines.line_start, lines.line_no,
-                 std::string("missing header field ") + kFieldNames[f]);
+                 "peak block is partial: PGA, PGV and PGD must appear "
+                 "together");
     }
+    out.peaks.present = peaks_seen == 3;
   }
-  // The peak block is optional but all-or-nothing.
-  const int peaks_seen = (seen[kPga] ? 1 : 0) + (seen[kPgv] ? 1 : 0) +
-                         (seen[kPgd] ? 1 : 0);
-  if (peaks_seen != 0 && peaks_seen != 3) {
-    return err(Code::kMissingHeaderField, lines.line_start, lines.line_no,
-               "peak block is partial: PGA, PGV and PGD must appear together");
-  }
-  out.peaks.present = peaks_seen == 3;
 
   if (header_only) return out;
 
-  auto samples = scan::read_data_block(lines, h.npts, content.size());
+  auto samples = scan::read_data_block(lines, h.npts);
   if (!samples.ok()) return std::move(samples).take_error();
   out.record.samples = std::move(samples).take();
 
@@ -239,15 +122,7 @@ void write_common(std::string& out, std::string_view magic,
                   const PeakSet* peaks,
                   const std::vector<std::string>* comments,
                   const std::vector<double>& samples) {
-  out += magic;
-  out += " 1\n";
-  out += "STATION " + h.station + "\n";
-  out += "COMPONENT " + h.component + "\n";
-  out += "EVENT " + h.event_id + "\n";
-  out += "DATE " + h.date + "\n";
-  char buf[80];
-  std::snprintf(buf, sizeof buf, "DT %.6e\n", h.dt);
-  out += buf;
+  scan::append_common_header(out, magic, h);
   out += "NPTS " + std::to_string(h.npts) + "\n";
   out += "UNITS " + h.units + "\n";
   if (processing) {
@@ -260,6 +135,7 @@ void write_common(std::string& out, std::string_view magic,
   }
   if (peaks && peaks->present) {
     // %.9e survives the docs/SIGNAL.md 1e-6 relative contract.
+    char buf[80];
     std::snprintf(buf, sizeof buf, "PGA %.9e %.9e\n", peaks->pga.value,
                   peaks->pga.time);
     out += buf;

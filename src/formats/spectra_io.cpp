@@ -1,5 +1,6 @@
 #include <cmath>
 #include <cstdio>
+#include <initializer_list>
 #include <string_view>
 
 #include "formats/scan.hpp"
@@ -11,219 +12,161 @@ namespace {
 
 using Code = ParseError::Code;
 using scan::err;
-using scan::is_date;
-using scan::is_ident;
 using scan::parse_full_double;
 using scan::parse_full_long;
 
-bool parse_header_double(std::string_view val, double& out) {
-  return parse_full_double(val, out) && std::isfinite(out);
+// DAMPINGS: a comma-separated, strictly ascending list of ratios in
+// [0, 1).
+scan::Field dampings_field(std::vector<double>& dst) {
+  return {"DAMPINGS", true, [&dst](std::string_view val) -> std::string {
+            std::string_view rest = val;
+            while (!rest.empty()) {
+              const std::size_t comma = rest.find(',');
+              const std::string_view tok = rest.substr(0, comma);
+              double z = 0;
+              if (!parse_full_double(tok, z) || !scan::in_range(z) || z < 0 ||
+                  z >= 1) {
+                return "DAMPINGS must be a comma-separated list of ratios in "
+                       "[0, 1); got '" +
+                       std::string(tok) + "'";
+              }
+              if (!dst.empty() && z <= dst.back()) {
+                return "DAMPINGS must be strictly ascending";
+              }
+              dst.push_back(z);
+              rest = comma == std::string_view::npos ? std::string_view{}
+                                                     : rest.substr(comma + 1);
+            }
+            if (dst.empty()) return "DAMPINGS must name at least one ratio";
+            return {};
+          }};
 }
 
-// The shared STATION/COMPONENT/EVENT/DATE/DT fields; returns false with
-// `error` set when the value is rejected.
-bool set_common_field(RecordHeader& h, int field, std::string_view val,
-                      std::size_t off, std::size_t ln, ParseError& error) {
-  switch (field) {
-    case 0:
-      if (!is_ident(val)) {
-        error = err(Code::kBadHeaderField, off, ln,
-                    "STATION must be a non-empty identifier");
-        return false;
-      }
-      h.station = std::string(val);
-      return true;
-    case 1:
-      if (val != "l" && val != "t" && val != "v") {
-        error = err(Code::kBadHeaderField, off, ln,
-                    "COMPONENT must be one of l, t, v; got '" +
-                        std::string(val) + "'");
-        return false;
-      }
-      h.component = std::string(val);
-      return true;
-    case 2:
-      if (!is_ident(val)) {
-        error = err(Code::kBadHeaderField, off, ln,
-                    "EVENT must be a non-empty identifier");
-        return false;
-      }
-      h.event_id = std::string(val);
-      return true;
-    case 3:
-      if (!is_date(val)) {
-        error = err(Code::kBadHeaderField, off, ln,
-                    "DATE must be yyyy-mm-dd; got '" + std::string(val) + "'");
-        return false;
-      }
-      h.date = std::string(val);
-      return true;
-    case 4: {
-      double dt = 0;
-      if (!parse_header_double(val, dt) || dt <= 0) {
-        error = err(Code::kBadHeaderField, off, ln,
-                    "DT must be a finite positive number; got '" +
-                        std::string(val) + "'");
-        return false;
-      }
-      h.dt = dt;
-      return true;
+// The damping-major block of R and RD: `nperiods` periods, positive and
+// strictly ascending, then for each damping one row of every array in
+// `rows`, none negative.
+Result<Unit, ParseError> read_grid(
+    scan::LineReader& lines, long nperiods, std::size_t ndamp,
+    std::vector<double>& periods,
+    std::initializer_list<std::vector<double>*> rows) {
+  const long total =
+      nperiods * (1 + static_cast<long>(rows.size() * ndamp));
+  auto block = scan::read_data_block(lines, total);
+  if (!block.ok()) return std::move(block).take_error();
+  const std::vector<double> flat = std::move(block).take();
+
+  const std::size_t np = static_cast<std::size_t>(nperiods);
+  periods.assign(flat.begin(), flat.begin() + nperiods);
+  for (std::size_t i = 0; i < np; ++i) {
+    if (periods[i] <= 0) {
+      return err(Code::kBadValue, 0, 0,
+                 "period " + std::to_string(i) + " is not positive");
+    }
+    if (i > 0 && periods[i] <= periods[i - 1]) {
+      return err(Code::kBadValue, 0, 0,
+                 "periods must be strictly ascending (index " +
+                     std::to_string(i) + ")");
     }
   }
-  error = err(Code::kBadHeaderField, off, ln, "internal: unknown field");
-  return false;
+  for (std::vector<double>* dst : rows) dst->resize(np * ndamp);
+  std::size_t cursor = np;
+  for (std::size_t d = 0; d < ndamp; ++d) {
+    for (std::vector<double>* dst : rows) {
+      for (std::size_t p = 0; p < np; ++p) {
+        const double v = flat[cursor++];
+        if (v < 0) {
+          return err(Code::kBadValue, 0, 0,
+                     "spectral value at damping " + std::to_string(d) +
+                         ", period " + std::to_string(p) + " is negative");
+        }
+        (*dst)[d * np + p] = v;
+      }
+    }
+  }
+  return Unit{};
 }
 
-void append_common_header(std::string& out, std::string_view magic,
-                          const RecordHeader& h) {
-  out += magic;
-  out += " 1\n";
-  out += "STATION " + h.station + "\n";
-  out += "COMPONENT " + h.component + "\n";
-  out += "EVENT " + h.event_id + "\n";
-  out += "DATE " + h.date + "\n";
-  char buf[80];
-  std::snprintf(buf, sizeof buf, "DT %.6e\n", h.dt);
-  out += buf;
+// The writer side: the DAMPINGS line, then the same damping-major block.
+void append_grid(std::string& out, const std::vector<double>& dampings,
+                 const std::vector<double>& periods,
+                 std::initializer_list<const std::vector<double>*> rows) {
+  out += "DAMPINGS ";
+  char buf[32];
+  for (std::size_t i = 0; i < dampings.size(); ++i) {
+    if (i) out += ',';
+    std::snprintf(buf, sizeof buf, "%.6e", dampings[i]);
+    out += buf;
+  }
+  out += '\n';
+
+  std::vector<double> flat;
+  const std::size_t np = periods.size();
+  flat.reserve(np * (1 + rows.size() * dampings.size()));
+  flat.insert(flat.end(), periods.begin(), periods.end());
+  for (std::size_t d = 0; d < dampings.size(); ++d) {
+    const std::size_t base = d * np;
+    for (const std::vector<double>* src : rows) {
+      flat.insert(flat.end(), src->begin() + base, src->begin() + base + np);
+    }
+  }
+  scan::append_data_block(out, flat);
 }
 
 }  // namespace
 
 Result<FRecord, ParseError> read_f(std::string_view content) {
-  if (content.empty()) return err(Code::kEmptyFile, 0, 0, "file is empty");
-  auto ascii = scan::check_ascii(content);
-  if (!ascii.ok()) return std::move(ascii).take_error();
-
-  scan::LineReader lines{content};
-  auto magic_ok = scan::read_magic(lines, kFMagic);
-  if (!magic_ok.ok()) return std::move(magic_ok).take_error();
-
   FRecord out;
   RecordHeader& h = out.header;
-  enum Field {
-    kStation, kComponent, kEvent, kDate, kDt, kNpts, kUnits, kDf, kNfft,
-    kWindow, kFsl, kFpl
-  };
-  static constexpr const char* kFieldNames[] = {
-      "STATION", "COMPONENT", "EVENT", "DATE", "DT", "NPTS", "UNITS",
-      "DF", "NFFT", "WINDOW", "FSL", "FPL"};
-  constexpr int kFieldCount = 12;
-  bool seen[kFieldCount] = {};
-  bool saw_data_marker = false;
+  std::vector<scan::Field> table = scan::record_fields(h);
+  table.insert(
+      table.end(),
+      {scan::count_field("NPTS", h.npts),
+       {"UNITS", true,
+        [&h](std::string_view val) -> std::string {
+          if (val != "cm/s") {
+            return "F spectra are in cm/s; got '" + std::string(val) + "'";
+          }
+          h.units = val;
+          return {};
+        },
+        Code::kBadUnits},
+       scan::positive_field("DF", out.df),
+       {"NFFT", true,
+        [&out](std::string_view val) -> std::string {
+          long n = 0;
+          if (!parse_full_long(val, n) || n < 2 || n % 2 != 0 ||
+              n > scan::kMaxNpts) {
+            return "NFFT must be an even integer in [2, " +
+                   std::to_string(scan::kMaxNpts) + "]; got '" +
+                   std::string(val) + "'";
+          }
+          out.nfft = n;
+          return {};
+        }},
+       {"WINDOW", true,
+        [&out](std::string_view val) -> std::string {
+          if (val != "none" && val != "hann" && val != "hamming") {
+            return "WINDOW must be none, hann or hamming; got '" +
+                   std::string(val) + "'";
+          }
+          out.window = val;
+          return {};
+        }},
+       scan::optional_field(scan::positive_field("FSL", out.fsl_hz)),
+       scan::optional_field(scan::positive_field("FPL", out.fpl_hz))});
 
-  std::string_view line;
-  while (lines.next(line)) {
-    if (line == "DATA") {
-      saw_data_marker = true;
-      break;
-    }
-    const std::size_t sp = line.find(' ');
-    const std::string_view key = line.substr(0, sp);
-    const std::string_view val =
-        sp == std::string_view::npos ? std::string_view{} : line.substr(sp + 1);
-    const std::size_t off = lines.line_start;
-    const std::size_t ln = lines.line_no;
+  scan::LineReader lines{content};
+  auto seen = scan::scan_header(lines, kFMagic, table);
+  if (!seen.ok()) return std::move(seen).take_error();
 
-    int field = -1;
-    for (int f = 0; f < kFieldCount; ++f) {
-      if (key == kFieldNames[f]) {
-        field = f;
-        break;
-      }
-    }
-    if (field < 0) {
-      return err(Code::kBadHeaderField, off, ln,
-                 "unknown header field '" + std::string(key) + "'");
-    }
-    if (seen[field]) {
-      return err(Code::kDuplicateHeaderField, off, ln,
-                 "duplicate header field '" + std::string(key) + "'");
-    }
-    seen[field] = true;
-
-    switch (field) {
-      case kStation: case kComponent: case kEvent: case kDate: case kDt: {
-        ParseError e;
-        if (!set_common_field(h, field, val, off, ln, e)) return e;
-        break;
-      }
-      case kNpts: {
-        long n = 0;
-        if (!parse_full_long(val, n) || n <= 0 || n > scan::kMaxNpts) {
-          return err(Code::kBadHeaderField, off, ln,
-                     "NPTS must be in [1, " + std::to_string(scan::kMaxNpts) +
-                         "]; got '" + std::string(val) + "'");
-        }
-        h.npts = n;
-        break;
-      }
-      case kUnits:
-        if (val != "cm/s") {
-          return err(Code::kBadUnits, off, ln,
-                     "F spectra are in cm/s; got '" + std::string(val) + "'");
-        }
-        h.units = std::string(val);
-        break;
-      case kDf: {
-        double df = 0;
-        if (!parse_header_double(val, df) || df <= 0) {
-          return err(Code::kBadHeaderField, off, ln,
-                     "DF must be a finite positive number; got '" +
-                         std::string(val) + "'");
-        }
-        out.df = df;
-        break;
-      }
-      case kNfft: {
-        long n = 0;
-        if (!parse_full_long(val, n) || n < 2 || n % 2 != 0 ||
-            n > scan::kMaxNpts) {
-          return err(Code::kBadHeaderField, off, ln,
-                     "NFFT must be an even integer in [2, " +
-                         std::to_string(scan::kMaxNpts) + "]; got '" +
-                         std::string(val) + "'");
-        }
-        out.nfft = n;
-        break;
-      }
-      case kWindow:
-        if (val != "none" && val != "hann" && val != "hamming") {
-          return err(Code::kBadHeaderField, off, ln,
-                     "WINDOW must be none, hann or hamming; got '" +
-                         std::string(val) + "'");
-        }
-        out.window = std::string(val);
-        break;
-      case kFsl: case kFpl: {
-        double v = 0;
-        if (!parse_header_double(val, v) || v <= 0) {
-          return err(Code::kBadHeaderField, off, ln,
-                     std::string(kFieldNames[field]) +
-                         " must be a finite positive number; got '" +
-                         std::string(val) + "'");
-        }
-        (field == kFsl ? out.fsl_hz : out.fpl_hz) = v;
-        break;
-      }
-    }
-  }
-
-  if (!saw_data_marker) {
-    return err(Code::kMissingDataMarker, content.size(), lines.line_no,
-               "no DATA marker before end of file");
-  }
-  for (int f = 0; f <= kWindow; ++f) {
-    if (!seen[f]) {
-      return err(Code::kMissingHeaderField, lines.line_start, lines.line_no,
-                 std::string("missing header field ") + kFieldNames[f]);
-    }
-  }
-  // The corner pair is optional but all-or-nothing, like the V2 peaks.
-  if (seen[kFsl] != seen[kFpl]) {
+  // The corner pair (the last two entries) is optional but
+  // all-or-nothing, like the V2 peaks.
+  const bool has_fsl = seen.value()[table.size() - 2];
+  if (has_fsl != seen.value().back()) {
     return err(Code::kMissingHeaderField, lines.line_start, lines.line_no,
                "corner block is partial: FSL and FPL must appear together");
   }
-  out.has_corners = seen[kFsl];
+  out.has_corners = has_fsl;
   if (out.has_corners && !(out.fsl_hz < out.fpl_hz)) {
     return err(Code::kBadValue, lines.line_start, lines.line_no,
                "corners are degenerate: FSL must be below FPL");
@@ -242,7 +185,7 @@ Result<FRecord, ParseError> read_f(std::string_view content) {
                "DF disagrees with 1 / (NFFT * DT)");
   }
 
-  auto block = scan::read_data_block(lines, h.npts, content.size());
+  auto block = scan::read_data_block(lines, h.npts);
   if (!block.ok()) return std::move(block).take_error();
   out.amplitude = std::move(block).take();
   for (std::size_t i = 0; i < out.amplitude.size(); ++i) {
@@ -256,7 +199,7 @@ Result<FRecord, ParseError> read_f(std::string_view content) {
 
 std::string write_f(const FRecord& record) {
   std::string out;
-  append_common_header(out, kFMagic, record.header);
+  scan::append_common_header(out, kFMagic, record.header);
   char buf[80];
   out += "NPTS " + std::to_string(record.header.npts) + "\n";
   out += "UNITS " + record.header.units + "\n";
@@ -276,341 +219,46 @@ std::string write_f(const FRecord& record) {
 }
 
 Result<RRecord, ParseError> read_r(std::string_view content) {
-  if (content.empty()) return err(Code::kEmptyFile, 0, 0, "file is empty");
-  auto ascii = scan::check_ascii(content);
-  if (!ascii.ok()) return std::move(ascii).take_error();
-
-  scan::LineReader lines{content};
-  auto magic_ok = scan::read_magic(lines, kRMagic);
-  if (!magic_ok.ok()) return std::move(magic_ok).take_error();
-
   RRecord out;
   RecordHeader& h = out.header;
-  enum Field { kStation, kComponent, kEvent, kDate, kDt, kNperiods, kDampings };
-  static constexpr const char* kFieldNames[] = {
-      "STATION", "COMPONENT", "EVENT", "DATE", "DT", "NPERIODS", "DAMPINGS"};
-  constexpr int kFieldCount = 7;
-  bool seen[kFieldCount] = {};
-  bool saw_data_marker = false;
+  std::vector<scan::Field> table = scan::record_fields(h);
+  table.push_back(scan::count_field("NPERIODS", h.npts));
+  table.push_back(dampings_field(out.dampings));
 
-  std::string_view line;
-  while (lines.next(line)) {
-    if (line == "DATA") {
-      saw_data_marker = true;
-      break;
-    }
-    const std::size_t sp = line.find(' ');
-    const std::string_view key = line.substr(0, sp);
-    const std::string_view val =
-        sp == std::string_view::npos ? std::string_view{} : line.substr(sp + 1);
-    const std::size_t off = lines.line_start;
-    const std::size_t ln = lines.line_no;
+  scan::LineReader lines{content};
+  auto seen = scan::scan_header(lines, kRMagic, table);
+  if (!seen.ok()) return std::move(seen).take_error();
 
-    int field = -1;
-    for (int f = 0; f < kFieldCount; ++f) {
-      if (key == kFieldNames[f]) {
-        field = f;
-        break;
-      }
-    }
-    if (field < 0) {
-      return err(Code::kBadHeaderField, off, ln,
-                 "unknown header field '" + std::string(key) + "'");
-    }
-    if (seen[field]) {
-      return err(Code::kDuplicateHeaderField, off, ln,
-                 "duplicate header field '" + std::string(key) + "'");
-    }
-    seen[field] = true;
-
-    switch (field) {
-      case kStation: case kComponent: case kEvent: case kDate: case kDt: {
-        ParseError e;
-        if (!set_common_field(h, field, val, off, ln, e)) return e;
-        break;
-      }
-      case kNperiods: {
-        long n = 0;
-        if (!parse_full_long(val, n) || n <= 0 || n > scan::kMaxNpts) {
-          return err(Code::kBadHeaderField, off, ln,
-                     "NPERIODS must be in [1, " +
-                         std::to_string(scan::kMaxNpts) + "]; got '" +
-                         std::string(val) + "'");
-        }
-        h.npts = n;
-        break;
-      }
-      case kDampings: {
-        std::string_view rest = val;
-        while (!rest.empty()) {
-          const std::size_t comma = rest.find(',');
-          const std::string_view tok = rest.substr(0, comma);
-          double z = 0;
-          if (!parse_header_double(tok, z) || z < 0 || z >= 1) {
-            return err(Code::kBadHeaderField, off, ln,
-                       "DAMPINGS must be a comma-separated list of ratios in "
-                       "[0, 1); got '" +
-                           std::string(tok) + "'");
-          }
-          if (!out.dampings.empty() && z <= out.dampings.back()) {
-            return err(Code::kBadHeaderField, off, ln,
-                       "DAMPINGS must be strictly ascending");
-          }
-          out.dampings.push_back(z);
-          rest = comma == std::string_view::npos ? std::string_view{}
-                                                 : rest.substr(comma + 1);
-        }
-        if (out.dampings.empty()) {
-          return err(Code::kBadHeaderField, off, ln,
-                     "DAMPINGS must name at least one ratio");
-        }
-        break;
-      }
-    }
-  }
-
-  if (!saw_data_marker) {
-    return err(Code::kMissingDataMarker, content.size(), lines.line_no,
-               "no DATA marker before end of file");
-  }
-  for (int f = 0; f < kFieldCount; ++f) {
-    if (!seen[f]) {
-      return err(Code::kMissingHeaderField, lines.line_start, lines.line_no,
-                 std::string("missing header field ") + kFieldNames[f]);
-    }
-  }
-
-  // One flat block: periods, then SD/SV/SA per damping, damping-major.
-  const long nper = h.npts;
-  const long ndamp = static_cast<long>(out.dampings.size());
-  const long total = nper * (1 + 3 * ndamp);
-  auto block = scan::read_data_block(lines, total, content.size());
-  if (!block.ok()) return std::move(block).take_error();
-  std::vector<double> flat = std::move(block).take();
-
-  const std::size_t np = static_cast<std::size_t>(nper);
-  out.periods.assign(flat.begin(), flat.begin() + nper);
-  for (std::size_t i = 0; i < np; ++i) {
-    if (out.periods[i] <= 0) {
-      return err(Code::kBadValue, 0, 0,
-                 "period " + std::to_string(i) + " is not positive");
-    }
-    if (i > 0 && out.periods[i] <= out.periods[i - 1]) {
-      return err(Code::kBadValue, 0, 0,
-                 "periods must be strictly ascending (index " +
-                     std::to_string(i) + ")");
-    }
-  }
-  const std::size_t cells = np * static_cast<std::size_t>(ndamp);
-  out.sd.resize(cells);
-  out.sv.resize(cells);
-  out.sa.resize(cells);
-  std::size_t cursor = np;
-  for (long d = 0; d < ndamp; ++d) {
-    const std::size_t base = static_cast<std::size_t>(d) * np;
-    for (std::vector<double>* dst : {&out.sd, &out.sv, &out.sa}) {
-      for (std::size_t p = 0; p < np; ++p) {
-        const double v = flat[cursor++];
-        if (v < 0) {
-          return err(Code::kBadValue, 0, 0,
-                     "spectral value at damping " + std::to_string(d) +
-                         ", period " + std::to_string(p) + " is negative");
-        }
-        (*dst)[base + p] = v;
-      }
-    }
-  }
+  auto grid = read_grid(lines, h.npts, out.dampings.size(), out.periods,
+                        {&out.sd, &out.sv, &out.sa});
+  if (!grid.ok()) return std::move(grid).take_error();
   return out;
 }
 
 Result<RotdRecord, ParseError> read_rotd(std::string_view content) {
-  if (content.empty()) return err(Code::kEmptyFile, 0, 0, "file is empty");
-  auto ascii = scan::check_ascii(content);
-  if (!ascii.ok()) return std::move(ascii).take_error();
-
-  scan::LineReader lines{content};
-  auto magic_ok = scan::read_magic(lines, kRotdMagic);
-  if (!magic_ok.ok()) return std::move(magic_ok).take_error();
-
   RotdRecord out;
   long nperiods = 0;
   // Station-level header: no COMPONENT field (the whole point of the
   // format is that the result is orientation-independent).
-  enum Field { kStation, kEvent, kDate, kDt, kNperiods, kAngles, kDampings };
-  static constexpr const char* kFieldNames[] = {
-      "STATION", "EVENT", "DATE", "DT", "NPERIODS", "ANGLES", "DAMPINGS"};
-  constexpr int kFieldCount = 7;
-  bool seen[kFieldCount] = {};
-  bool saw_data_marker = false;
+  const std::vector<scan::Field> table = {
+      scan::ident_field("STATION", out.station),
+      scan::ident_field("EVENT", out.event_id),
+      scan::date_field(out.date),
+      scan::positive_field("DT", out.dt),
+      scan::count_field("NPERIODS", nperiods),
+      scan::count_field("ANGLES", out.angles, 36000),
+      dampings_field(out.dampings)};
 
-  std::string_view line;
-  while (lines.next(line)) {
-    if (line == "DATA") {
-      saw_data_marker = true;
-      break;
-    }
-    const std::size_t sp = line.find(' ');
-    const std::string_view key = line.substr(0, sp);
-    const std::string_view val =
-        sp == std::string_view::npos ? std::string_view{} : line.substr(sp + 1);
-    const std::size_t off = lines.line_start;
-    const std::size_t ln = lines.line_no;
+  scan::LineReader lines{content};
+  auto seen = scan::scan_header(lines, kRotdMagic, table);
+  if (!seen.ok()) return std::move(seen).take_error();
 
-    int field = -1;
-    for (int f = 0; f < kFieldCount; ++f) {
-      if (key == kFieldNames[f]) {
-        field = f;
-        break;
-      }
-    }
-    if (field < 0) {
-      return err(Code::kBadHeaderField, off, ln,
-                 "unknown header field '" + std::string(key) + "'");
-    }
-    if (seen[field]) {
-      return err(Code::kDuplicateHeaderField, off, ln,
-                 "duplicate header field '" + std::string(key) + "'");
-    }
-    seen[field] = true;
-
-    switch (field) {
-      case kStation:
-        if (!is_ident(val)) {
-          return err(Code::kBadHeaderField, off, ln,
-                     "STATION must be a non-empty identifier");
-        }
-        out.station = std::string(val);
-        break;
-      case kEvent:
-        if (!is_ident(val)) {
-          return err(Code::kBadHeaderField, off, ln,
-                     "EVENT must be a non-empty identifier");
-        }
-        out.event_id = std::string(val);
-        break;
-      case kDate:
-        if (!is_date(val)) {
-          return err(Code::kBadHeaderField, off, ln,
-                     "DATE must be yyyy-mm-dd; got '" + std::string(val) + "'");
-        }
-        out.date = std::string(val);
-        break;
-      case kDt: {
-        double dt = 0;
-        if (!parse_header_double(val, dt) || dt <= 0) {
-          return err(Code::kBadHeaderField, off, ln,
-                     "DT must be a finite positive number; got '" +
-                         std::string(val) + "'");
-        }
-        out.dt = dt;
-        break;
-      }
-      case kNperiods: {
-        long n = 0;
-        if (!parse_full_long(val, n) || n <= 0 || n > scan::kMaxNpts) {
-          return err(Code::kBadHeaderField, off, ln,
-                     "NPERIODS must be in [1, " +
-                         std::to_string(scan::kMaxNpts) + "]; got '" +
-                         std::string(val) + "'");
-        }
-        nperiods = n;
-        break;
-      }
-      case kAngles: {
-        long n = 0;
-        if (!parse_full_long(val, n) || n <= 0 || n > 36000) {
-          return err(Code::kBadHeaderField, off, ln,
-                     "ANGLES must be in [1, 36000]; got '" + std::string(val) +
-                         "'");
-        }
-        out.angles = n;
-        break;
-      }
-      case kDampings: {
-        std::string_view rest = val;
-        while (!rest.empty()) {
-          const std::size_t comma = rest.find(',');
-          const std::string_view tok = rest.substr(0, comma);
-          double z = 0;
-          if (!parse_header_double(tok, z) || z < 0 || z >= 1) {
-            return err(Code::kBadHeaderField, off, ln,
-                       "DAMPINGS must be a comma-separated list of ratios in "
-                       "[0, 1); got '" +
-                           std::string(tok) + "'");
-          }
-          if (!out.dampings.empty() && z <= out.dampings.back()) {
-            return err(Code::kBadHeaderField, off, ln,
-                       "DAMPINGS must be strictly ascending");
-          }
-          out.dampings.push_back(z);
-          rest = comma == std::string_view::npos ? std::string_view{}
-                                                 : rest.substr(comma + 1);
-        }
-        if (out.dampings.empty()) {
-          return err(Code::kBadHeaderField, off, ln,
-                     "DAMPINGS must name at least one ratio");
-        }
-        break;
-      }
-    }
-  }
-
-  if (!saw_data_marker) {
-    return err(Code::kMissingDataMarker, content.size(), lines.line_no,
-               "no DATA marker before end of file");
-  }
-  for (int f = 0; f < kFieldCount; ++f) {
-    if (!seen[f]) {
-      return err(Code::kMissingHeaderField, lines.line_start, lines.line_no,
-                 std::string("missing header field ") + kFieldNames[f]);
-    }
-  }
-
-  // One flat block: periods, then ROTD00/ROTD50/ROTD100/GEOMEAN per
-  // damping, damping-major.
-  const long ndamp = static_cast<long>(out.dampings.size());
-  const long total = nperiods * (1 + 4 * ndamp);
-  auto block = scan::read_data_block(lines, total, content.size());
-  if (!block.ok()) return std::move(block).take_error();
-  std::vector<double> flat = std::move(block).take();
-
-  const std::size_t np = static_cast<std::size_t>(nperiods);
-  out.periods.assign(flat.begin(), flat.begin() + nperiods);
-  for (std::size_t i = 0; i < np; ++i) {
-    if (out.periods[i] <= 0) {
-      return err(Code::kBadValue, 0, 0,
-                 "period " + std::to_string(i) + " is not positive");
-    }
-    if (i > 0 && out.periods[i] <= out.periods[i - 1]) {
-      return err(Code::kBadValue, 0, 0,
-                 "periods must be strictly ascending (index " +
-                     std::to_string(i) + ")");
-    }
-  }
-  const std::size_t cells = np * static_cast<std::size_t>(ndamp);
-  out.rotd00.resize(cells);
-  out.rotd50.resize(cells);
-  out.rotd100.resize(cells);
-  out.geomean.resize(cells);
-  std::size_t cursor = np;
-  for (long d = 0; d < ndamp; ++d) {
-    const std::size_t base = static_cast<std::size_t>(d) * np;
-    for (std::vector<double>* dst :
-         {&out.rotd00, &out.rotd50, &out.rotd100, &out.geomean}) {
-      for (std::size_t p = 0; p < np; ++p) {
-        const double v = flat[cursor++];
-        if (v < 0) {
-          return err(Code::kBadValue, 0, 0,
-                     "spectral value at damping " + std::to_string(d) +
-                         ", period " + std::to_string(p) + " is negative");
-        }
-        (*dst)[base + p] = v;
-      }
-    }
-  }
+  auto grid = read_grid(lines, nperiods, out.dampings.size(), out.periods,
+                        {&out.rotd00, &out.rotd50, &out.rotd100, &out.geomean});
+  if (!grid.ok()) return std::move(grid).take_error();
   // The percentile ordering is an invariant of the sweep, not just a
   // convention: a file that breaks it was not produced by the kernel.
-  for (std::size_t i = 0; i < cells; ++i) {
+  for (std::size_t i = 0; i < out.rotd00.size(); ++i) {
     if (out.rotd00[i] > out.rotd50[i] || out.rotd50[i] > out.rotd100[i]) {
       return err(Code::kBadValue, 0, 0,
                  "RotD percentiles out of order at cell " + std::to_string(i) +
@@ -632,53 +280,18 @@ std::string write_rotd(const RotdRecord& record) {
   out += buf;
   out += "NPERIODS " + std::to_string(record.periods.size()) + "\n";
   out += "ANGLES " + std::to_string(record.angles) + "\n";
-  out += "DAMPINGS ";
-  for (std::size_t i = 0; i < record.dampings.size(); ++i) {
-    if (i) out += ',';
-    std::snprintf(buf, sizeof buf, "%.6e", record.dampings[i]);
-    out += buf;
-  }
-  out += '\n';
-
-  std::vector<double> flat;
-  const std::size_t np = record.periods.size();
-  flat.reserve(np * (1 + 4 * record.dampings.size()));
-  flat.insert(flat.end(), record.periods.begin(), record.periods.end());
-  for (std::size_t d = 0; d < record.dampings.size(); ++d) {
-    const std::size_t base = d * np;
-    for (const std::vector<double>* src :
-         {&record.rotd00, &record.rotd50, &record.rotd100, &record.geomean}) {
-      flat.insert(flat.end(), src->begin() + base, src->begin() + base + np);
-    }
-  }
-  scan::append_data_block(out, flat);
+  append_grid(out, record.dampings, record.periods,
+              {&record.rotd00, &record.rotd50, &record.rotd100,
+               &record.geomean});
   return out;
 }
 
 std::string write_r(const RRecord& record) {
   std::string out;
-  append_common_header(out, kRMagic, record.header);
+  scan::append_common_header(out, kRMagic, record.header);
   out += "NPERIODS " + std::to_string(record.header.npts) + "\n";
-  out += "DAMPINGS ";
-  char buf[32];
-  for (std::size_t i = 0; i < record.dampings.size(); ++i) {
-    if (i) out += ',';
-    std::snprintf(buf, sizeof buf, "%.6e", record.dampings[i]);
-    out += buf;
-  }
-  out += '\n';
-
-  std::vector<double> flat;
-  const std::size_t np = record.periods.size();
-  flat.reserve(np * (1 + 3 * record.dampings.size()));
-  flat.insert(flat.end(), record.periods.begin(), record.periods.end());
-  for (std::size_t d = 0; d < record.dampings.size(); ++d) {
-    const std::size_t base = d * np;
-    for (const std::vector<double>* src : {&record.sd, &record.sv, &record.sa}) {
-      flat.insert(flat.end(), src->begin() + base, src->begin() + base + np);
-    }
-  }
-  scan::append_data_block(out, flat);
+  append_grid(out, record.dampings, record.periods,
+              {&record.sd, &record.sv, &record.sa});
   return out;
 }
 

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <functional>
 
 #include "formats/spectra.hpp"
 #include "formats/v1.hpp"
 #include "formats/v2.hpp"
+#include "util/rng.hpp"
 
 namespace acx::formats {
 namespace {
@@ -554,6 +558,449 @@ TEST(RFormat, RejectsMissingDampings) {
   auto bad = read_r(text);
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.error().code, ParseError::Code::kMissingHeaderField);
+}
+
+// --- RD station spectra ---------------------------------------------------
+
+RotdRecord make_rotd_record() {
+  RotdRecord rd;
+  rd.station = "SS03";
+  rd.event_id = "EV02";
+  rd.date = "2018-01-24";
+  rd.dt = 0.01;
+  rd.angles = 180;
+  rd.dampings = {0.02, 0.05};
+  rd.periods = {0.05, 0.2, 1.0, 4.0};
+  const std::size_t cells = rd.dampings.size() * rd.periods.size();
+  for (std::size_t i = 0; i < cells; ++i) {
+    const double base = 1.0 + 0.25 * static_cast<double>(i);
+    rd.rotd00.push_back(base);
+    rd.rotd50.push_back(base + 0.5);
+    rd.rotd100.push_back(base + 1.0);
+    rd.geomean.push_back(base + 0.4);
+  }
+  return rd;
+}
+
+TEST(RotdFormat, WriterReaderRoundTrip) {
+  const RotdRecord rd = make_rotd_record();
+  const std::string text = write_rotd(rd);
+  auto back = read_rotd(text);
+  ASSERT_TRUE(back.ok()) << back.error().to_string();
+  const RotdRecord& s = back.value();
+  EXPECT_EQ(s.station, rd.station);
+  EXPECT_EQ(s.event_id, rd.event_id);
+  EXPECT_EQ(s.date, rd.date);
+  EXPECT_DOUBLE_EQ(s.dt, rd.dt);
+  EXPECT_EQ(s.angles, rd.angles);
+  ASSERT_EQ(s.dampings.size(), rd.dampings.size());
+  ASSERT_EQ(s.periods.size(), rd.periods.size());
+  for (std::size_t d = 0; d < rd.dampings.size(); ++d) {
+    EXPECT_NEAR(s.dampings[d], rd.dampings[d], 1e-9);
+    for (std::size_t p = 0; p < rd.periods.size(); ++p) {
+      const std::size_t i = rd.index(d, p);
+      EXPECT_NEAR(s.rotd00[i], rd.rotd00[i], 1e-4 * rd.rotd00[i]);
+      EXPECT_NEAR(s.rotd50[i], rd.rotd50[i], 1e-4 * rd.rotd50[i]);
+      EXPECT_NEAR(s.rotd100[i], rd.rotd100[i], 1e-4 * rd.rotd100[i]);
+      EXPECT_NEAR(s.geomean[i], rd.geomean[i], 1e-4 * rd.geomean[i]);
+    }
+  }
+  EXPECT_EQ(write_rotd(s), text);  // re-emit is byte-identical
+}
+
+TEST(RotdMalformedCorpus, EveryFaultYieldsItsTypedError) {
+  const std::string valid = write_rotd(make_rotd_record());
+  RotdRecord unordered = make_rotd_record();
+  unordered.rotd50[5] = unordered.rotd100[5] + 1.0;
+  const std::string unordered_text = write_rotd(unordered);
+
+  const MalformedCase kCases[] = {
+      {"component_line",
+       [](std::string s) {
+         return replace_first(s, "EVENT EV02", "COMPONENT l\nEVENT EV02");
+       },
+       ParseError::Code::kBadHeaderField},
+      {"zero_angles",
+       [](std::string s) { return replace_first(s, "ANGLES 180", "ANGLES 0"); },
+       ParseError::Code::kBadHeaderField},
+      {"too_many_angles",
+       [](std::string s) {
+         return replace_first(s, "ANGLES 180", "ANGLES 36001");
+       },
+       ParseError::Code::kBadHeaderField},
+      {"missing_angles", [](std::string s) { return drop_line(s, "ANGLES "); },
+       ParseError::Code::kMissingHeaderField},
+      {"descending_dampings",
+       [](std::string s) {
+         return replace_first(s, "DAMPINGS 2.000000e-02,5.000000e-02",
+                              "DAMPINGS 5.000000e-02,2.000000e-02");
+       },
+       ParseError::Code::kBadHeaderField},
+      {"rotd50_above_rotd100", [&](std::string) { return unordered_text; },
+       ParseError::Code::kBadValue},
+  };
+
+  for (const MalformedCase& c : kCases) {
+    SCOPED_TRACE(c.name);
+    auto result = read_rotd(c.mutate(valid));
+    ASSERT_FALSE(result.ok()) << "malformed station spectrum was accepted";
+    EXPECT_EQ(result.error().code, c.expected)
+        << "got " << result.error().to_string();
+  }
+}
+
+// A header count is outside input: a tampered NPTS or NPERIODS must come
+// back as a typed error, never as an allocation sized from the count.
+TEST(TamperedCounts, AreTypedErrorsNotAllocations) {
+  std::string dampings = "DAMPINGS 0.01";
+  for (int i = 2; i <= 40; ++i) {
+    dampings += (i < 10 ? ",0.0" : ",0.") + std::to_string(i);
+  }
+  const std::string r = replace_first(
+      replace_first(write_r(make_r_record()), "NPERIODS 4",
+                    "NPERIODS 100000000"),
+      "DAMPINGS 0.000000e+00,5.000000e-02,2.000000e-01", dampings);
+  auto r_back = read_r(r);
+  ASSERT_FALSE(r_back.ok());
+  EXPECT_EQ(r_back.error().code, ParseError::Code::kShortDataBlock);
+
+  const std::string rd = replace_first(
+      replace_first(write_rotd(make_rotd_record()), "NPERIODS 4",
+                    "NPERIODS 100000000"),
+      "DAMPINGS 2.000000e-02,5.000000e-02", dampings);
+  auto rd_back = read_rotd(rd);
+  ASSERT_FALSE(rd_back.ok());
+  EXPECT_EQ(rd_back.error().code, ParseError::Code::kBadColumnWidth);
+
+  auto v1_back = read_v1(
+      replace_first(write_v1(make_record(19)), "NPTS 19", "NPTS 100000000"));
+  ASSERT_FALSE(v1_back.ok());
+  EXPECT_EQ(v1_back.error().code, ParseError::Code::kBadColumnWidth);
+}
+
+// --- Mutation gate -------------------------------------------------------
+// Seeded mutants of valid writer output for every format. Structure-aware
+// edits swap, duplicate or drop header lines, set values to NaN, Inf, a
+// denormal, a negative, an empty string or a huge count, and write long or
+// non-ascending DAMPINGS lists; naive edits flip bits, truncate, insert
+// tokens, and duplicate or delete lines. Every mutant must give a typed
+// ParseError or a value whose rewrite is a write -> read fixed point, with
+// no exception and no read over a second. The digest folds in every
+// diagnosis (format, code, offset, line, detail) and every rewrite, so it
+// pins the readers' behaviour: a change that alters any diagnosis updates
+// kMutationDigest and lists each changed diagnosis.
+
+constexpr std::uint64_t kMutationDigest = 0xdbab3d1d8c2ac9eeULL;
+constexpr int kMutants = 50'000;
+
+V2Record make_v2_record() {
+  V2Record v2;
+  v2.record = make_record(11);
+  v2.record.header.units = "cm/s2";
+  v2.processing = {"calibrate", "demean", "write_v2"};
+  v2.peaks.present = true;
+  v2.peaks.pga = {-123.456789012, 0.035};
+  v2.peaks.pgv = {4.5e-2, 0.04};
+  v2.peaks.pgd = {1.25e-3, 0.055};
+  v2.comments = {"bandpass: fir 0.50-25.00 Hz, 101 taps",
+                 "integrate: trapezoid"};
+  return v2;
+}
+
+// A reader's answer to one input: its diagnosis, or the canonical
+// rewrite of the value it accepted.
+using Verdict = Result<std::string, ParseError>;
+
+template <class Read, class Write>
+Verdict verdict_of(Read read, Write write, std::string_view text) {
+  auto value = read(text);
+  if (!value.ok()) return std::move(value).take_error();
+  return write(value.value());
+}
+
+struct GateFormat {
+  const char* name;
+  std::string seed;
+  std::function<Verdict(std::string_view)> read;
+};
+
+std::vector<std::string> split_lines(std::string_view text) {
+  std::vector<std::string> lines;
+  std::size_t start = 0;
+  for (std::size_t nl; (nl = text.find('\n', start)) != std::string::npos;
+       start = nl + 1) {
+    lines.emplace_back(text.substr(start, nl - start));
+  }
+  lines.emplace_back(text.substr(start));
+  return lines;
+}
+
+std::string join_lines(const std::vector<std::string>& lines) {
+  std::string text;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    if (i) text += '\n';
+    text += lines[i];
+  }
+  return text;
+}
+
+// Every draw comes from Xoshiro256, never a std:: distribution, and each
+// in its own statement (argument evaluation order is unspecified), so
+// the mutants are the same on every platform and compiler.
+struct Mutator {
+  Xoshiro256 rng;
+
+  std::size_t pick(std::size_t n) {
+    return static_cast<std::size_t>(rng.next_in(0, n - 1));
+  }
+  template <std::size_t N>
+  const char* pick(const char* const (&table)[N]) {
+    return table[pick(N)];
+  }
+
+  std::string mutate(std::string text) {
+    const int edits = 1 + static_cast<int>(rng.next_in(0, 2));
+    for (int e = 0; e < edits; ++e) text = edit(std::move(text));
+    return text;
+  }
+
+  std::string edit(std::string text) {
+    static constexpr const char* kValues[] = {
+        "nan", "NaN", "-nan", "inf", "-inf", "Infinity", "4.9e-324",
+        "1e-310", "2.2250738585072009e-308", "-1", "-0", "0", "",
+        "-5.000000e-03", "1.7976931348623157e308", "100000000",
+        "99999999999999999999", "+1", "0x10", " 1", "1 ", "1,2", "l",
+        "counts", "cm/s2", "cm/s", "hann", "2019-07-07", "SS01"};
+    static constexpr const char* kCounts[] = {
+        "100000000", "100000001", "99999999", "36000", "36001", "2", "1",
+        "0", "-1", "64", "66", "2147483648", "9223372036854775807",
+        "99999999999999999999"};
+    static constexpr const char* kCountKeys[] = {"NPTS", "NPERIODS",
+                                                 "ANGLES", "NFFT"};
+    static constexpr const char* kCells[] = {
+        "nan", "-nan", "inf", "-inf", "4.9407e-324", "1.0000e-310",
+        "-1.0000e+00", "-0.0000e+00", "0.0000e+00", "", "1.7977e+308",
+        "1.79769e+308", "1.0000e+04", "  1.0000e+04"};
+    static constexpr const char* kTokens[] = {
+        " ", "\n", "DATA\n", "END\n", "#", ",", "-", "e", "0", "9", "nan",
+        "1e308", "\t", "\r", "STATION X\n", "NPTS 1\n", "DAMPINGS 0.5\n",
+        "PGA 1 1\n", "FSL 1\n", "  1.0000e+00"};
+
+    std::vector<std::string> lines = split_lines(text);
+    std::size_t data = 0;
+    while (data < lines.size() && lines[data] != "DATA") ++data;
+    const auto header_line = [&] { return 1 + pick(data - 1); };
+    const auto key_of = [](const std::string& line) {
+      return line.substr(0, line.find(' '));
+    };
+
+    switch (rng.next_in(0, 11)) {
+      case 0: {  // swap two header lines (the magic line included)
+        if (data < 2) break;
+        const std::size_t a = pick(data), b = pick(data);
+        std::swap(lines[a], lines[b]);
+        return join_lines(lines);
+      }
+      case 1: {  // duplicate a header line
+        if (data < 2) break;
+        const std::string copy = lines[header_line()];
+        lines.insert(lines.begin() + 1 + pick(data), copy);
+        return join_lines(lines);
+      }
+      case 2:  // drop a header line
+        if (data < 2) break;
+        lines.erase(lines.begin() + header_line());
+        return join_lines(lines);
+      case 3: {  // set a header value
+        if (data < 2) break;
+        std::string& line = lines[header_line()];
+        line = rng.next_in(0, 7) == 0 ? key_of(line)
+                                      : key_of(line) + ' ' + pick(kValues);
+        return join_lines(lines);
+      }
+      case 4: {  // a huge (or edge) count in one of the file's count keys
+        std::vector<std::size_t> counts;
+        for (std::size_t i = 1; i < data; ++i) {
+          for (const char* key : kCountKeys) {
+            if (key_of(lines[i]) == key) counts.push_back(i);
+          }
+        }
+        if (counts.empty()) break;
+        std::string& line = lines[counts[pick(counts.size())]];
+        line = key_of(line) + ' ' + pick(kCounts);
+        return join_lines(lines);
+      }
+      case 5: {  // a long DAMPINGS list, ascending or broken in one place
+        const std::size_t n = pick(65);
+        std::vector<double> z(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          z[i] = static_cast<double>(i + 1) / static_cast<double>(n + 1);
+        }
+        if (n > 0 && rng.next_in(0, 3) == 0) {
+          static constexpr double kBreaks[] = {1.0, -0.05, 0.0, 0.5};
+          const std::size_t at = pick(n);
+          z[at] = kBreaks[pick(std::size(kBreaks))];
+        }
+        std::string list = "DAMPINGS ";
+        char buf[32];
+        for (std::size_t i = 0; i < n; ++i) {
+          std::snprintf(buf, sizeof buf, "%s%.6e", i ? "," : "", z[i]);
+          list += buf;
+        }
+        if (rng.next_in(0, 7) == 0) list += pick(kTokens);
+        for (std::size_t i = 1; i < data; ++i) {
+          if (key_of(lines[i]) == "DAMPINGS") lines[i] = list;
+        }
+        return join_lines(lines);
+      }
+      case 6: {  // set a data cell
+        if (data + 1 >= lines.size()) break;
+        std::string& line = lines[data + 1 + pick(lines.size() - data - 1)];
+        const std::size_t cells = line.size() / kColumnWidth;
+        if (cells == 0) break;
+        std::string cell = pick(kCells);
+        if (cell.size() < kColumnWidth) {
+          cell.insert(0, kColumnWidth - cell.size(), ' ');
+        }
+        line.replace(pick(cells) * kColumnWidth, kColumnWidth, cell);
+        return join_lines(lines);
+      }
+      case 7: {  // flip one bit
+        if (text.empty()) break;
+        const std::size_t at = pick(text.size());
+        text[at] ^= static_cast<char>(1 << rng.next_in(0, 7));
+        return text;
+      }
+      case 8:  // truncate
+        if (text.empty()) break;
+        text.resize(pick(text.size()));
+        return text;
+      case 9: {  // insert a token
+        const std::size_t at = pick(text.size() + 1);
+        text.insert(at, pick(kTokens));
+        return text;
+      }
+      case 10: {  // duplicate a line
+        const std::string copy = lines[pick(lines.size())];
+        lines.insert(lines.begin() + pick(lines.size() + 1), copy);
+        return join_lines(lines);
+      }
+      case 11:  // delete a line
+        lines.erase(lines.begin() + pick(lines.size()));
+        return join_lines(lines);
+    }
+    return text;
+  }
+};
+
+std::string hex64(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+// Chains one verdict into the digest.
+void fold(std::uint64_t& digest, const char* format, const Verdict& v) {
+  std::string entry = hex64(digest) + ' ' + format;
+  if (v.ok()) {
+    entry += " ok\n" + v.value();
+  } else {
+    const ParseError& e = v.error();
+    entry += std::string(" ") + slug(e.code) + ' ' +
+             std::to_string(e.byte_offset) + ' ' + std::to_string(e.line) +
+             ' ' + e.detail;
+  }
+  digest = fnv1a64(entry);
+}
+
+TEST(FormatsMutationGate, TypedErrorOrFixedPointWithAPinnedDigest) {
+  const GateFormat kFormats[] = {
+      {"V1", write_v1(make_record(19)),
+       [](std::string_view t) { return verdict_of(read_v1, write_v1, t); }},
+      {"V2", write_v2(make_v2_record()),
+       [](std::string_view t) { return verdict_of(read_v2, write_v2, t); }},
+      {"F", write_f(make_f_record(/*with_corners=*/true)),
+       [](std::string_view t) { return verdict_of(read_f, write_f, t); }},
+      {"F", write_f(make_f_record(/*with_corners=*/false)),
+       [](std::string_view t) { return verdict_of(read_f, write_f, t); }},
+      {"R", write_r(make_r_record()),
+       [](std::string_view t) { return verdict_of(read_r, write_r, t); }},
+      {"RD", write_rotd(make_rotd_record()),
+       [](std::string_view t) {
+         return verdict_of(read_rotd, write_rotd, t);
+       }},
+  };
+  const GateFormat v1_header{
+      "V1H", "", [](std::string_view t) {
+        return verdict_of(read_v1_header,
+                          [](const RecordHeader& h) {
+                            return write_v1(Record{h, {}});
+                          },
+                          t);
+      }};
+
+  int throws = 0, slow = 0, not_fixed = 0, disagree = 0, accepted = 0;
+  // Runs one reader under the time bound; accepted values must rewrite
+  // to a fixed point.
+  const auto judge = [&](const GateFormat& f, const std::string& text,
+                         std::uint64_t& digest) -> Verdict {
+    const auto t0 = std::chrono::steady_clock::now();
+    Verdict v = f.read(text);
+    if (std::chrono::steady_clock::now() - t0 > std::chrono::seconds(1)) {
+      ++slow;
+    }
+    fold(digest, f.name, v);
+    if (v.ok()) {
+      ++accepted;
+      const Verdict again = f.read(v.value());
+      if (!again.ok() || again.value() != v.value()) {
+        if (++not_fixed <= 3) {
+          ADD_FAILURE() << f.name << " rewrite is not a fixed point:\n"
+                        << v.value();
+        }
+      }
+    }
+    return v;
+  };
+
+  Mutator mutator{Xoshiro256(0x5eed'f0c5'a11d'7e57ULL)};
+  std::uint64_t digest = 0;
+  for (int m = 0; m < kMutants; ++m) {
+    const GateFormat& f = kFormats[m % std::size(kFormats)];
+    const std::string text = mutator.mutate(f.seed);
+    try {
+      const Verdict v = judge(f, text, digest);
+      if (std::string_view(f.name) != "V1") continue;
+      // The header-only read agrees with the full read: the same
+      // diagnosis when it rejects, the same header when both accept.
+      const Verdict h = judge(v1_header, text, digest);
+      const auto header_of = [](const std::string& s) {
+        return s.substr(0, s.find("\nDATA\n"));
+      };
+      const bool agree =
+          h.ok() ? !v.ok() || header_of(v.value()) == header_of(h.value())
+                 : !v.ok() && v.error().to_string() == h.error().to_string();
+      if (!agree && ++disagree <= 3) {
+        ADD_FAILURE() << "read_v1_header disagrees with read_v1 on:\n"
+                      << text;
+      }
+    } catch (const std::exception& e) {
+      if (++throws <= 3) {
+        ADD_FAILURE() << "threw " << e.what() << " on:\n" << text;
+      }
+    } catch (...) {
+      if (++throws <= 3) ADD_FAILURE() << "threw on:\n" << text;
+    }
+  }
+  EXPECT_EQ(throws, 0);
+  EXPECT_EQ(slow, 0);
+  EXPECT_EQ(not_fixed, 0);
+  EXPECT_EQ(disagree, 0);
+  EXPECT_GT(accepted, kMutants / 100);  // the mutants reach the value paths
+  EXPECT_EQ(digest, kMutationDigest)
+      << "mutation digest is now 0x" << hex64(digest)
+      << ": list every changed diagnosis and update kMutationDigest";
 }
 
 }  // namespace

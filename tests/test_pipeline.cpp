@@ -339,12 +339,42 @@ TEST(Pipeline, ValidatorFlagsCorruptOutput) {
   auto run = run_pipeline(fs, input, work, test_config());
   ASSERT_TRUE(run.ok());
 
-  // Corrupt one claimed output in place.
-  ASSERT_TRUE(
-      fs.write_file(run.value().records[0].output, "ACX-V2 1\nbroken").ok());
-  const ValidationSummary audit = validate_workdir(fs, work);
-  EXPECT_FALSE(audit.clean());
-  EXPECT_EQ(audit.issues[0].kind, "corrupt_output");
+  // Corrupt one claimed output in place, one input at a time: a broken
+  // V2, and an R file whose header claims 10^8 periods over 40 dampings,
+  // a count the reader must diagnose rather than allocate for.
+  const RecordOutcome& rec = run.value().records[0];
+  const auto r_path =
+      std::find_if(rec.outputs.begin(), rec.outputs.end(),
+                   [](const std::string& p) { return p.ends_with(".r"); });
+  ASSERT_NE(r_path, rec.outputs.end());
+  auto r_text = fs.read_file(*r_path);
+  ASSERT_TRUE(r_text.ok());
+  std::string tampered = r_text.value();
+  std::string dampings = "DAMPINGS 0.01";
+  for (int i = 2; i <= 40; ++i) {
+    dampings += (i < 10 ? ",0.0" : ",0.") + std::to_string(i);
+  }
+  for (const auto& [key, line] :
+       {std::pair<std::string, std::string>{"NPERIODS ", "NPERIODS 100000000"},
+        {"DAMPINGS ", dampings}}) {
+    const auto pos = tampered.find("\n" + key);
+    ASSERT_NE(pos, std::string::npos) << key;
+    tampered.replace(pos + 1, tampered.find('\n', pos + 1) - pos - 1, line);
+  }
+
+  const std::pair<std::string, std::string> kCorruptions[] = {
+      {rec.output, "ACX-V2 1\nbroken"}, {*r_path, tampered}};
+  for (const auto& [path, text] : kCorruptions) {
+    SCOPED_TRACE(path);
+    auto original = fs.read_file(path);
+    ASSERT_TRUE(original.ok());
+    ASSERT_TRUE(fs.write_file(path, text).ok());
+    const ValidationSummary audit = validate_workdir(fs, work);
+    EXPECT_FALSE(audit.clean());
+    ASSERT_FALSE(audit.issues.empty());
+    EXPECT_EQ(audit.issues[0].kind, "corrupt_output");
+    ASSERT_TRUE(fs.write_file(path, original.value()).ok());
+  }
 }
 
 }  // namespace
