@@ -224,7 +224,9 @@ done
 #     of the toggle API or a kernel entry point rots the docs here).
 for pair in "ACX_SIMD:CMakeLists.txt" \
             "active_kernels:src/util/simd.hpp" \
-            "avx2_supported:src/util/simd.hpp" \
+            "host_tier:src/util/simd.hpp" \
+            "set_tier_cap:src/util/simd.hpp" \
+            "ffp-contract=off:src/CMakeLists.txt" \
             "fft_pow2_execute_split:src/signal/fft_plan.hpp" \
             "kOverlapSaveMinTaps:src/signal/fir.hpp" \
             "overlap_save_selected:src/signal/fir.hpp" \

@@ -72,11 +72,8 @@ namespace {
 // kernel's finite-path formula — vr = xr*wr - xi*wi, vi = xr*wi +
 // xi*wr, then u +/- v componentwise — in the same order, so results
 // are bit-identical. The inverse conjugates by negating the twiddle
-// imaginary part (sign flips are exact). Instantiated per ISA via the
-// tag so each wrapper compiles the body under its own target options;
-// the AVX2 clone omits "fma" from its target set, keeping
-// -ffp-contract from fusing a multiply-add and changing a rounding.
-template <bool Inverse, typename IsaTag>
+// imaginary part (sign flips are exact).
+template <bool Inverse>
 __attribute__((always_inline)) inline void fft_split_body(
     double* __restrict re, double* __restrict im, const Pow2Plan& plan) {
   const std::size_t n = plan.n;
@@ -110,42 +107,21 @@ __attribute__((always_inline)) inline void fft_split_body(
   }
 }
 
-struct GenericIsa {};
-struct Avx2Isa {};
-
-void fft_split_generic(double* re, double* im, const Pow2Plan& plan,
-                       bool inverse) {
-  if (inverse) {
-    fft_split_body<true, GenericIsa>(re, im, plan);
-  } else {
-    fft_split_body<false, GenericIsa>(re, im, plan);
-  }
-}
-
-#if defined(__x86_64__) || defined(__i386__)
-__attribute__((target("avx2"))) void fft_split_avx2(double* re, double* im,
-                                                    const Pow2Plan& plan,
-                                                    bool inverse) {
-  if (inverse) {
-    fft_split_body<true, Avx2Isa>(re, im, plan);
-  } else {
-    fft_split_body<false, Avx2Isa>(re, im, plan);
-  }
-}
-#endif
-
 }  // namespace
 
 void fft_pow2_execute_split(double* re, double* im, const Pow2Plan& plan,
                             bool inverse) {
   if (plan.n < 2) return;
-#if defined(__x86_64__) || defined(__i386__)
-  if (simd::avx2_supported()) {
-    fft_split_avx2(re, im, plan, inverse);
-    return;
-  }
-#endif
-  fft_split_generic(re, im, plan, inverse);
+  // The split path has no scalar form of its own: callers take the
+  // interleaved kernel when the toggle is off.
+  simd::dispatch<simd::Tier::kAvx2>(
+      [&]<simd::Tier T>() __attribute__((always_inline)) {
+        if (inverse) {
+          fft_split_body<true>(re, im, plan);
+        } else {
+          fft_split_body<false>(re, im, plan);
+        }
+      });
 }
 
 void fft_pow2_execute_dispatch(std::vector<Complex>& a, const Pow2Plan& plan,

@@ -52,10 +52,7 @@ constexpr std::size_t kConvBlock = 16;
 // result is bit-identical; the blocked lanes only make x loads
 // contiguous and h[k] a broadcast, which is what lets the loop
 // vectorize (the scatter form is a strided read-modify-write).
-// Instantiated per ISA via the tag; the AVX2 clone omits "fma" so no
-// multiply-add contraction can change a rounding.
-template <typename IsaTag>
-__attribute__((always_inline)) inline void convolve_direct_blocked_body(
+__attribute__((always_inline)) inline void convolve_direct_blocked(
     const double* __restrict h, std::size_t t, const double* __restrict x,
     std::size_t n, double* __restrict y) {
   const std::size_t full = n + t - 1;
@@ -94,34 +91,19 @@ __attribute__((always_inline)) inline void convolve_direct_blocked_body(
   }
 }
 
-struct GenericIsa {};
-struct Avx2Isa {};
-
-void convolve_direct_blocked(const double* h, std::size_t t, const double* x,
-                             std::size_t n, double* y) {
-  convolve_direct_blocked_body<GenericIsa>(h, t, x, n, y);
-}
-
-#if defined(__x86_64__) || defined(__i386__)
-__attribute__((target("avx2"))) void convolve_direct_blocked_avx2(
-    const double* h, std::size_t t, const double* x, std::size_t n,
-    double* y) {
-  convolve_direct_blocked_body<Avx2Isa>(h, t, x, n, y);
-}
-#endif
-
 std::vector<double> convolve_direct(const std::vector<double>& h,
                                     const std::vector<double>& x) {
-  if (!simd::enabled()) return convolve_direct_scalar(h, x);
-  std::vector<double> y(x.size() + h.size() - 1);
-#if defined(__x86_64__) || defined(__i386__)
-  if (simd::avx2_supported()) {
-    convolve_direct_blocked_avx2(h.data(), h.size(), x.data(), x.size(),
-                                 y.data());
-    return y;
-  }
-#endif
-  convolve_direct_blocked(h.data(), h.size(), x.data(), x.size(), y.data());
+  std::vector<double> y;
+  simd::dispatch<simd::Tier::kAvx2>(
+      [&]<simd::Tier T>() __attribute__((always_inline)) {
+        if constexpr (T == simd::Tier::kScalar) {
+          y = convolve_direct_scalar(h, x);
+        } else {
+          y.resize(x.size() + h.size() - 1);
+          convolve_direct_blocked(h.data(), h.size(), x.data(), x.size(),
+                                  y.data());
+        }
+      });
   return y;
 }
 

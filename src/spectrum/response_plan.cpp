@@ -110,109 +110,63 @@ void sdof_batch_scalar(const double* acc, std::size_t n,
   }
 }
 
-// Explicit-SIMD body: same arithmetic, same per-lane op order, with
-// `#pragma omp simd` asserting lane independence so the compiler
-// vectorizes the block loop without a runtime dependence check, and a
-// full-width specialization so the common whole-block case uses a
-// compile-time trip count. Vector lanes are separate oscillators, so
-// the result is bit-identical to the scalar loop; the peak updates
-// compile to compare+blend (or maxpd — psd/psv/psa are never NaN, and
-// max(abs, peak) keeps the peak when abs is NaN, matching the scalar
-// compare-false path). Instantiated per ISA via the tag parameter and
-// always_inline so each wrapper compiles the body with its own target
-// options; the AVX2 clone deliberately omits "fma" from its target
-// set so -ffp-contract can never fuse a multiply-add and change a
-// rounding.
-template <typename IsaTag>
-__attribute__((always_inline)) inline void sdof_batch_simd_body(
+// Cells per register sub-block of the SIMD body, per tier. The state
+// and peaks of a sub-block are locals for the whole record, which the
+// compiler keeps in vector registers, so a time step loads its
+// coefficients from L1 and stores almost nothing. The AVX2 and AVX-512
+// widths measured fastest; on the portable tier (SSE2 on x86-64) W = 4
+// to 32 measured alike, and 4 is the widest whose state fits its 16
+// registers (docs/PERF.md, "SIMD kernels"). Each width divides
+// kSdofBatchBlock, so a 32-cell block of response_spectrum splits into
+// whole sub-blocks.
+template <simd::Tier T>
+constexpr std::size_t kSubBlock = T == simd::Tier::kAvx512 ? 16
+                                  : T == simd::Tier::kAvx2 ? 8
+                                                           : 4;
+
+// Explicit-SIMD body: the scalar loop's arithmetic in its per-lane op
+// order, marched W cells at a time over zero-padded coefficients, with
+// `#pragma omp simd` asserting lane independence. Vector lanes are
+// separate oscillators, so the peaks are bit-identical to the scalar
+// loop's; the peak updates compile to compare+blend (or maxpd — the
+// peaks are never NaN, and max(abs, peak) keeps the peak when abs is
+// NaN, matching the scalar compare-false path).
+template <std::size_t W>
+__attribute__((always_inline)) inline void sdof_batch_simd(
     const double* acc, std::size_t n, const ResponsePlan& plan,
     std::size_t cell_begin, std::size_t cell_end, double* sd, double* sv,
     double* sa) {
-  for (std::size_t start = cell_begin; start < cell_end;
-       start += kSdofBatchBlock) {
-    const std::size_t b = std::min(kSdofBatchBlock, cell_end - start);
-    const double* a11 = plan.a11.data() + start;
-    const double* a12 = plan.a12.data() + start;
-    const double* a21 = plan.a21.data() + start;
-    const double* a22 = plan.a22.data() + start;
-    const double* b11 = plan.b11.data() + start;
-    const double* b12 = plan.b12.data() + start;
-    const double* b21 = plan.b21.data() + start;
-    const double* b22 = plan.b22.data() + start;
-    const double* two_zw = plan.two_zw.data() + start;
-    const double* w2 = plan.w2.data() + start;
-
-    double x[kSdofBatchBlock] = {};
-    double v[kSdofBatchBlock] = {};
-    double psd[kSdofBatchBlock] = {};
-    double psv[kSdofBatchBlock] = {};
-    double psa[kSdofBatchBlock] = {};
-
-    if (b == kSdofBatchBlock) {
-      for (std::size_t i = 0; i + 1 < n; ++i) {
-        const double acc0 = acc[i];
-        const double acc1 = acc[i + 1];
+  static_assert(kSdofBatchBlock % W == 0);
+  for (std::size_t start = cell_begin; start < cell_end; start += W) {
+    const std::size_t width = std::min(W, cell_end - start);
+    const BlockCoeffs<W> k(plan, start, width);
+    double x[W] = {};
+    double v[W] = {};
+    double psd[W] = {};
+    double psv[W] = {};
+    double psa[W] = {};
+    for (std::size_t i = 0; i + 1 < n; ++i) {
+      const double acc0 = acc[i];
+      const double acc1 = acc[i + 1];
 #pragma omp simd
-        for (std::size_t j = 0; j < kSdofBatchBlock; ++j) {
-          const double x1 = a11[j] * x[j] + a12[j] * v[j] + b11[j] * acc0 +
-                            b12[j] * acc1;
-          const double v1 = a21[j] * x[j] + a22[j] * v[j] + b21[j] * acc0 +
-                            b22[j] * acc1;
-          x[j] = x1;
-          v[j] = v1;
-          const double abs_acc = std::fabs(two_zw[j] * v1 + w2[j] * x1);
-          if (std::fabs(x1) > psd[j]) psd[j] = std::fabs(x1);
-          if (std::fabs(v1) > psv[j]) psv[j] = std::fabs(v1);
-          if (abs_acc > psa[j]) psa[j] = abs_acc;
-        }
-      }
-    } else {
-      for (std::size_t i = 0; i + 1 < n; ++i) {
-        const double acc0 = acc[i];
-        const double acc1 = acc[i + 1];
-#pragma omp simd
-        for (std::size_t j = 0; j < b; ++j) {
-          const double x1 = a11[j] * x[j] + a12[j] * v[j] + b11[j] * acc0 +
-                            b12[j] * acc1;
-          const double v1 = a21[j] * x[j] + a22[j] * v[j] + b21[j] * acc0 +
-                            b22[j] * acc1;
-          x[j] = x1;
-          v[j] = v1;
-          const double abs_acc = std::fabs(two_zw[j] * v1 + w2[j] * x1);
-          if (std::fabs(x1) > psd[j]) psd[j] = std::fabs(x1);
-          if (std::fabs(v1) > psv[j]) psv[j] = std::fabs(v1);
-          if (abs_acc > psa[j]) psa[j] = abs_acc;
-        }
+      for (std::size_t j = 0; j < W; ++j) {
+        const double x1 = k.a11[j] * x[j] + k.a12[j] * v[j] +
+                          k.b11[j] * acc0 + k.b12[j] * acc1;
+        const double v1 = k.a21[j] * x[j] + k.a22[j] * v[j] +
+                          k.b21[j] * acc0 + k.b22[j] * acc1;
+        x[j] = x1;
+        v[j] = v1;
+        const double abs_acc = std::fabs(k.two_zw[j] * v1 + k.w2[j] * x1);
+        psd[j] = std::fabs(x1) > psd[j] ? std::fabs(x1) : psd[j];
+        psv[j] = std::fabs(v1) > psv[j] ? std::fabs(v1) : psv[j];
+        psa[j] = abs_acc > psa[j] ? abs_acc : psa[j];
       }
     }
-    for (std::size_t j = 0; j < b; ++j) {
-      sd[start + j] = psd[j];
-      sv[start + j] = psv[j];
-      sa[start + j] = psa[j];
-    }
+    std::copy_n(psd, width, sd + start);
+    std::copy_n(psv, width, sv + start);
+    std::copy_n(psa, width, sa + start);
   }
 }
-
-struct GenericIsa {};
-struct Avx2Isa {};
-
-void sdof_batch_simd(const double* acc, std::size_t n,
-                     const ResponsePlan& plan, std::size_t cell_begin,
-                     std::size_t cell_end, double* sd, double* sv,
-                     double* sa) {
-  sdof_batch_simd_body<GenericIsa>(acc, n, plan, cell_begin, cell_end, sd, sv,
-                                   sa);
-}
-
-#if defined(__x86_64__) || defined(__i386__)
-__attribute__((target("avx2"))) void sdof_batch_avx2(
-    const double* acc, std::size_t n, const ResponsePlan& plan,
-    std::size_t cell_begin, std::size_t cell_end, double* sd, double* sv,
-    double* sa) {
-  sdof_batch_simd_body<Avx2Isa>(acc, n, plan, cell_begin, cell_end, sd, sv,
-                                sa);
-}
-#endif
 
 }  // namespace
 
@@ -220,17 +174,14 @@ void sdof_peak_response_batch(const double* acc, std::size_t n,
                               const ResponsePlan& plan,
                               std::size_t cell_begin, std::size_t cell_end,
                               double* sd, double* sv, double* sa) {
-  if (simd::enabled()) {
-#if defined(__x86_64__) || defined(__i386__)
-    if (simd::avx2_supported()) {
-      sdof_batch_avx2(acc, n, plan, cell_begin, cell_end, sd, sv, sa);
-      return;
+  simd::dispatch([&]<simd::Tier T>() __attribute__((always_inline)) {
+    if constexpr (T == simd::Tier::kScalar) {
+      sdof_batch_scalar(acc, n, plan, cell_begin, cell_end, sd, sv, sa);
+    } else {
+      sdof_batch_simd<kSubBlock<T>>(acc, n, plan, cell_begin, cell_end, sd,
+                                    sv, sa);
     }
-#endif
-    sdof_batch_simd(acc, n, plan, cell_begin, cell_end, sd, sv, sa);
-    return;
-  }
-  sdof_batch_scalar(acc, n, plan, cell_begin, cell_end, sd, sv, sa);
+  });
 }
 
 struct ResponsePlanCache::Impl {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <memory>
@@ -84,21 +85,47 @@ struct ResponsePlan {
       double dt, const ResponseGrid& grid);
 };
 
-// Cells marched in lockstep per block by the batch kernel: large
-// enough to amortize the sweep of `acc` across many oscillators,
-// small enough that the 15 live arrays of a block stay in L1.
+// Cells per block: response_spectrum hands the batch kernel blocks of
+// this many cells, and RotD marches this many lanes in lockstep. The
+// batch kernel's register sub-blocks divide it.
 inline constexpr std::size_t kSdofBatchBlock = 32;
 
-// Period-blocked batch recurrence: sweeps acc once per block of at
-// most kSdofBatchBlock cells from [cell_begin, cell_end), updating
+// The coefficients of cells [start, start + width) of a plan, copied
+// out and zero-padded to W lanes: a padded lane stays at rest, so a
+// kernel can march all W lanes whatever the width.
+template <std::size_t W>
+struct BlockCoeffs {
+  double a11[W] = {}, a12[W] = {}, a21[W] = {}, a22[W] = {};
+  double b11[W] = {}, b12[W] = {}, b21[W] = {}, b22[W] = {};
+  double two_zw[W] = {}, w2[W] = {};
+
+  BlockCoeffs(const ResponsePlan& plan, std::size_t start, std::size_t width) {
+    const auto take = [&](const std::vector<double>& from, double* to) {
+      std::copy_n(from.begin() + static_cast<std::ptrdiff_t>(start), width, to);
+    };
+    take(plan.a11, a11);
+    take(plan.a12, a12);
+    take(plan.a21, a21);
+    take(plan.a22, a22);
+    take(plan.b11, b11);
+    take(plan.b12, b12);
+    take(plan.b21, b21);
+    take(plan.b22, b22);
+    take(plan.two_zw, two_zw);
+    take(plan.w2, w2);
+  }
+};
+
+// Period-blocked batch recurrence: sweeps acc once per block of cells
+// from [cell_begin, cell_end) — kSdofBatchBlock cells on the scalar
+// tier, a register sub-block of 4 to 16 on the SIMD tiers — updating
 // all oscillators of a block in lockstep, and writes the SD/SV/SA
 // peaks at the cells' absolute indices in sd/sv/sa. The per-cell
 // arithmetic is the scalar kernel's, in the scalar kernel's order, so
-// the peaks are bit-identical to sdof_peak_response — the inner loop
-// merely runs cells side by side over contiguous coefficient arrays
-// (auto-vectorizable, no per-period allocation). No validation and no
-// finiteness check here; callers scan the peaks (acc must have >= 2
-// samples).
+// the peaks are bit-identical to sdof_peak_response on every tier —
+// the inner loop merely runs cells side by side (no per-period
+// allocation). No validation and no finiteness check here; callers
+// scan the peaks (acc must have >= 2 samples).
 void sdof_peak_response_batch(const double* acc, std::size_t n,
                               const ResponsePlan& plan,
                               std::size_t cell_begin, std::size_t cell_end,

@@ -100,32 +100,6 @@ __attribute__((always_inline)) inline void for_each_lane(std::size_t n,
   }
 }
 
-// One block of grid cells, its plan coefficients copied out and
-// zero-padded to the full lane width: a padded lane stays at rest.
-struct BlockCoeffs {
-  double a11[kLanes] = {}, a12[kLanes] = {}, a21[kLanes] = {},
-         a22[kLanes] = {};
-  double b11[kLanes] = {}, b12[kLanes] = {}, b21[kLanes] = {},
-         b22[kLanes] = {};
-  double two_zw[kLanes] = {}, w2[kLanes] = {};
-
-  BlockCoeffs(const ResponsePlan& plan, std::size_t start, std::size_t width) {
-    const auto take = [&](const std::vector<double>& from, double* to) {
-      std::copy_n(from.begin() + static_cast<std::ptrdiff_t>(start), width, to);
-    };
-    take(plan.a11, a11);
-    take(plan.a12, a12);
-    take(plan.a21, a21);
-    take(plan.a22, a22);
-    take(plan.b11, b11);
-    take(plan.b12, b12);
-    take(plan.b21, b21);
-    take(plan.b22, b22);
-    take(plan.two_zw, two_zw);
-    take(plan.w2, w2);
-  }
-};
-
 // The l and t oscillators of every lane, marched from rest in
 // lockstep. step() is the one recurrence body both passes share: the
 // batch kernel's expressions in its op order, so (al, at) are the
@@ -135,9 +109,9 @@ struct PairState {
   double al[kLanes] = {}, at[kLanes] = {};
 
   template <bool kSimd>
-  __attribute__((always_inline)) inline void step(const BlockCoeffs& k,
-                                                  double l0, double l1,
-                                                  double t0, double t1) {
+  __attribute__((always_inline)) inline void step(
+      const BlockCoeffs<kLanes>& k, double l0, double l1, double t0,
+      double t1) {
     for_each_lane<kSimd>(kLanes, [&](std::size_t j) {
       const double xl1 = k.a11[j] * xl[j] + k.a12[j] * vl[j] + k.b11[j] * l0 +
                          k.b12[j] * l1;
@@ -261,16 +235,14 @@ struct BlockJob {
   char* bad;
 };
 
-enum class Isa { kScalar, kSimd, kAvx2 };
-
 // Two passes over the pair, then the percentiles straight from the
-// peak table. One instantiation per ISA wrapper below, so each
-// compiles with its own target options.
-template <Isa kIsa>
+// peak table. Every tier runs the full 32-lane body; rotd_block below
+// instantiates it once per tier.
+template <simd::Tier T>
 __attribute__((always_inline)) inline void rotd_block_body(
     const BlockJob& job) {
-  constexpr bool kSimd = kIsa != Isa::kScalar;
-  const BlockCoeffs k(*job.plan, job.start, job.width);
+  constexpr bool kSimd = T != simd::Tier::kScalar;
+  const BlockCoeffs<kLanes> k(*job.plan, job.start, job.width);
   const std::size_t na = job.sweep->na;
   const double* c = job.sweep->c.data();
   const double* s = job.sweep->s.data();
@@ -355,28 +327,10 @@ __attribute__((always_inline)) inline void rotd_block_body(
   }
 }
 
-void rotd_block_scalar(const BlockJob& job) {
-  rotd_block_body<Isa::kScalar>(job);
-}
-
-void rotd_block_simd(const BlockJob& job) { rotd_block_body<Isa::kSimd>(job); }
-
-#if defined(__x86_64__) || defined(__i386__)
-// No "fma" in the target set, as for the batch kernel's AVX2 clone:
-// a contracted multiply-add would change a rounding.
-__attribute__((target("avx2"))) void rotd_block_avx2(const BlockJob& job) {
-  rotd_block_body<Isa::kAvx2>(job);
-}
-#endif
-
-// The dispatch of sdof_peak_response_batch: scalar when the ACX_SIMD
-// toggle is off, the AVX2 clone where the CPU has it.
 void rotd_block(const BlockJob& job) {
-  if (!simd::enabled()) return rotd_block_scalar(job);
-#if defined(__x86_64__) || defined(__i386__)
-  if (simd::avx2_supported()) return rotd_block_avx2(job);
-#endif
-  rotd_block_simd(job);
+  simd::dispatch([&]<simd::Tier T>() __attribute__((always_inline)) {
+    rotd_block_body<T>(job);
+  });
 }
 
 }  // namespace

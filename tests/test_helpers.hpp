@@ -1,10 +1,13 @@
 #pragma once
 
 #include <atomic>
+#include <cstdio>
 #include <filesystem>
 #include <string>
 
 #include <unistd.h>
+
+#include "util/simd.hpp"
 
 namespace acx::test {
 
@@ -49,5 +52,34 @@ inline constexpr bool kTsanBuild = false;
 #else
 inline constexpr bool kTsanBuild = false;
 #endif
+
+// What simd::active_kernels() reports at each tier, in Tier order.
+inline constexpr const char* kTierKernels[] = {"scalar", "simd", "simd+avx2",
+                                               "simd+avx512"};
+
+// Runs fn(tier) with the kernels capped at each tier from `first` to
+// kAvx512, then restores the ACX_SIMD toggle. Every tier gets one
+// `[     TIER ]` line, so the log shows which tiers ran and which this
+// CPU lacks. A missing tier is only logged: gtest's own skip marker
+// would make ctest report the whole test as skipped, failures and all.
+template <typename Fn>
+void for_each_tier(Fn&& fn, simd::Tier first = simd::Tier::kScalar) {
+  struct Restore {
+    bool was = simd::enabled();
+    ~Restore() { simd::set_enabled(was); }
+  } restore;
+  for (simd::Tier tier : {simd::Tier::kScalar, simd::Tier::kSimd,
+                          simd::Tier::kAvx2, simd::Tier::kAvx512}) {
+    if (tier < first) continue;
+    if (tier > simd::host_tier()) {
+      std::printf("[     TIER ] %s: not on this CPU, skipped\n",
+                  kTierKernels[static_cast<int>(tier)]);
+      continue;
+    }
+    simd::set_tier_cap(tier);
+    std::printf("[     TIER ] %s\n", simd::active_kernels());
+    fn(tier);
+  }
+}
 
 }  // namespace acx::test

@@ -61,8 +61,9 @@ TEST(Reasons, StageNameTableMatchesTheDefaultChain) {
   const auto stages = default_stages();
   std::vector<std::string> expected = {"scratch_setup"};
   for (const auto& s : stages) expected.emplace_back(s->name());
-  for (const StageNode* n :
-       StageGraph::standard().station_plan(/*prune_redundant=*/false)) {
+  // The graph outlives the loop: station_plan points into it.
+  const StageGraph graph = StageGraph::standard();
+  for (const StageNode* n : graph.station_plan(/*prune_redundant=*/false)) {
     expected.emplace_back(n->name);
   }
   std::vector<std::string> table;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numbers>
 #include <vector>
 
@@ -10,6 +11,7 @@
 #include "spectrum/response.hpp"
 #include "spectrum/response_plan.hpp"
 #include "test_helpers.hpp"
+#include "util/simd.hpp"
 
 namespace acx::spectrum {
 namespace {
@@ -211,6 +213,89 @@ TEST(ResponseSpectrum, PlanOverloadIsBitIdenticalForAnyThreadCount) {
     EXPECT_EQ(serial.value().sv, teamed.value().sv) << threads;
     EXPECT_EQ(serial.value().sa, teamed.value().sa) << threads;
   }
+}
+
+// --- Oracle-free guards of the batch kernel, at every tier --------------
+//
+// Each identity below holds bit for bit by exact arithmetic, so it
+// needs no reference: multiplying by a power of two and negating are
+// exact and commute with every operation of the recurrence, and an
+// oscillator at rest under zero input stays at (signed) zero. A lane
+// that does not start at rest, or a kernel that drops or repeats a
+// time step at a block or sub-block edge, breaks them. Each guard runs
+// on the paper grid at every tier this CPU has.
+
+std::vector<double> guard_record() {
+  // First sample 0, so leading zeros do not add a step to the input.
+  std::vector<double> acc(700);
+  for (std::size_t i = 0; i < acc.size(); ++i) {
+    const double t = static_cast<double>(i);
+    acc[i] = std::sin(0.07 * t) + 0.5 * std::sin(0.61 * t) -
+             0.2 * std::sin(2.3 * t);
+  }
+  return acc;
+}
+
+std::vector<double> times(std::vector<double> v, double factor) {
+  for (double& x : v) x *= factor;
+  return v;
+}
+
+bool same_bytes(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+ResponseSpectrum paper_response(const std::vector<double>& acc) {
+  auto rs = response_spectrum(acc, 0.01, paper_grid());
+  EXPECT_TRUE(rs.ok());
+  return rs.ok() ? rs.value() : ResponseSpectrum{};
+}
+
+TEST(ResponseSpectrum, ScalingTheRecordByAPowerOfTwoScalesEveryPeakExactly) {
+  const auto acc = guard_record();
+  test::for_each_tier([&](simd::Tier) {
+    const ResponseSpectrum base = paper_response(acc);
+    for (int k : {-7, 1, 9}) {
+      const double factor = std::ldexp(1.0, k);
+      const ResponseSpectrum scaled = paper_response(times(acc, factor));
+      const char* name = simd::active_kernels();
+      EXPECT_TRUE(same_bytes(scaled.sd, times(base.sd, factor)))
+          << name << " 2^" << k;
+      EXPECT_TRUE(same_bytes(scaled.sv, times(base.sv, factor)))
+          << name << " 2^" << k;
+      EXPECT_TRUE(same_bytes(scaled.sa, times(base.sa, factor)))
+          << name << " 2^" << k;
+    }
+  });
+}
+
+TEST(ResponseSpectrum, NegatingTheRecordLeavesEveryPeakExactly) {
+  const auto acc = guard_record();
+  test::for_each_tier([&](simd::Tier) {
+    const ResponseSpectrum base = paper_response(acc);
+    const ResponseSpectrum negated = paper_response(times(acc, -1.0));
+    EXPECT_TRUE(same_bytes(negated.sd, base.sd)) << simd::active_kernels();
+    EXPECT_TRUE(same_bytes(negated.sv, base.sv)) << simd::active_kernels();
+    EXPECT_TRUE(same_bytes(negated.sa, base.sa)) << simd::active_kernels();
+  });
+}
+
+TEST(ResponseSpectrum, LeadingZerosLeaveEveryPeakExactly) {
+  const auto acc = guard_record();
+  ASSERT_EQ(acc[0], 0.0);
+  test::for_each_tier([&](simd::Tier) {
+    const ResponseSpectrum base = paper_response(acc);
+    for (std::size_t zeros : {1, 37}) {
+      std::vector<double> padded(zeros, 0.0);
+      padded.insert(padded.end(), acc.begin(), acc.end());
+      const ResponseSpectrum late = paper_response(padded);
+      const char* name = simd::active_kernels();
+      EXPECT_TRUE(same_bytes(late.sd, base.sd)) << name << " " << zeros;
+      EXPECT_TRUE(same_bytes(late.sv, base.sv)) << name << " " << zeros;
+      EXPECT_TRUE(same_bytes(late.sa, base.sa)) << name << " " << zeros;
+    }
+  });
 }
 
 // --- Fourier amplitude spectrum ------------------------------------------

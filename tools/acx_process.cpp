@@ -26,6 +26,7 @@
 #include "cli.hpp"
 #include "pipeline/runner.hpp"
 #include "util/fs.hpp"
+#include "util/simd.hpp"
 
 int main(int argc, char** argv) {
   std::string input_dir, work_dir, baseline_path;
@@ -108,11 +109,13 @@ int main(int argc, char** argv) {
       kernel += p.kernel_seconds;
     }
     if (hits + misses > 0) {
+      // The kernel tier names the host, so timings taken on two
+      // hosts can be told apart.
       std::fprintf(
           log,
           "  plan caches: %lld hits / %lld misses, %.3fs setup, "
-          "%.3fs kernel\n",
-          hits, misses, setup, kernel);
+          "%.3fs kernel (%s)\n",
+          hits, misses, setup, kernel, acx::simd::active_kernels());
     }
   }
   for (const auto& r : report.records) {
