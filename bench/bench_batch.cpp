@@ -1,18 +1,19 @@
-// Batch-runner economics: what the two-axis scheduler costs on top of
-// the per-event pipeline, and what it buys back when storage has real
-// latency. Three shapes:
+// Tree-run economics (`acx_serve --input`): what spooling a directory of
+// events and draining it through the event engine costs on top of the
+// per-event pipeline, and what the engine buys back when storage has
+// real latency. Three shapes:
 //   batch.seq_zero_latency    — 1 worker over a zero-latency store: the
-//                               pure orchestration overhead (queue,
-//                               journal, sharded work dirs). Gated in
-//                               bench/baseline.json.
+//                               pure orchestration overhead (discovery,
+//                               manifests, claims, sharded work dirs,
+//                               stats). Gated in bench/baseline.json.
 //   batch.workers2_modeled    — 2 workers over the latency-modeled
 //                               store: inter-event overlap hiding
 //                               per-op storage latency. Measured and
 //                               uploaded, not gated (timer-resolution
 //                               dependent).
-//   batch.resume_fast_path    — every event journaled: the cost of a
-//                               no-op resume scan (journal read +
-//                               work-dir revalidation per event).
+//   batch.resume_fast_path    — every event already in done/: the cost
+//                               of a no-op rerun (one work-dir
+//                               revalidation per event, an empty drain).
 
 #include <benchmark/benchmark.h>
 
@@ -22,7 +23,7 @@
 #include <filesystem>
 #include <string>
 
-#include "pipeline/batch.hpp"
+#include "pipeline/serve.hpp"
 #include "synth/synth.hpp"
 #include "util/fs.hpp"
 #include "util/slowfs.hpp"
@@ -32,7 +33,7 @@ namespace {
 namespace stdfs = std::filesystem;
 
 // One synth input tree per process: four small events, shared by every
-// bench (immutable; only work roots are per-iteration).
+// bench (immutable; only the spool and work roots are per-iteration).
 const stdfs::path& batch_input() {
   static const stdfs::path input = [] {
     const stdfs::path dir = stdfs::temp_directory_path() /
@@ -52,31 +53,43 @@ const stdfs::path& batch_input() {
   return input;
 }
 
-acx::pipeline::BatchConfig base_config(int workers) {
-  acx::pipeline::BatchConfig cfg;
+acx::pipeline::ServeConfig base_config(int workers) {
+  acx::pipeline::ServeConfig cfg;
   cfg.runner.driver = acx::pipeline::Driver::kSequentialOptimized;
   cfg.runner.sleep = [](int) {};
   cfg.event_workers = workers;
+  cfg.queue_capacity = 4;
+  cfg.poll_ms = 1;
   return cfg;
 }
 
-void run_batch(benchmark::State& state, acx::FileSystem& fs,
-               const acx::pipeline::BatchConfig& cfg, bool keep_work) {
-  acx::RealFileSystem real;
+// One tree run: spool every event under input/, then drain.
+void run_tree(acx::FileSystem& fs, const acx::pipeline::ServeConfig& cfg,
+              long long& records) {
+  const stdfs::path spool = batch_input() / "spool";
   const stdfs::path work = batch_input() / "work";
+  auto spooled =
+      acx::pipeline::spool_tree(fs, cfg, batch_input() / "input", spool, work);
+  if (!spooled.ok()) std::abort();
+  auto run = acx::pipeline::SpoolServer(fs, cfg).run(spool, work);
+  if (!run.ok() || run.value().served != run.value().ok) std::abort();
+  records = run.value().records_ok;
+  benchmark::DoNotOptimize(run);
+}
+
+void run_batch(benchmark::State& state, acx::FileSystem& fs,
+               const acx::pipeline::ServeConfig& cfg, bool keep_work) {
+  acx::RealFileSystem real;
   long long records = 0;
   for (auto _ : state) {
     if (!keep_work) {
       state.PauseTiming();
-      (void)real.remove_all(work);
+      (void)real.remove_all(batch_input() / "spool");
+      (void)real.remove_all(batch_input() / "work");
       state.ResumeTiming();
     }
-    auto run = acx::pipeline::BatchRunner(fs, cfg)
-                   .run(batch_input() / "input", work);
-    if (!run.ok() || run.value().count_status("ok") != 4) std::abort();
-    records = 0;
-    for (const auto& e : run.value().events) records += e.records_ok;
-    benchmark::DoNotOptimize(run);
+    run_tree(fs, cfg, records);
+    if (!keep_work && records != 12) std::abort();
   }
   state.SetItemsProcessed(state.iterations() * records);
   state.counters["events"] = 4;
@@ -99,13 +112,13 @@ void BM_BatchWorkers2Modeled(benchmark::State& state) {
 
 void BM_BatchResumeFastPath(benchmark::State& state) {
   acx::RealFileSystem fs;
-  const acx::pipeline::BatchConfig cfg = base_config(1);
-  // Seed the work root once; every timed iteration then resumes it.
+  const acx::pipeline::ServeConfig cfg = base_config(1);
+  // Run the tree once; every timed iteration then finds it all done.
+  (void)fs.remove_all(batch_input() / "spool");
   (void)fs.remove_all(batch_input() / "work");
-  auto seeded =
-      acx::pipeline::BatchRunner(fs, cfg).run(batch_input() / "input",
-                                              batch_input() / "work");
-  if (!seeded.ok()) std::abort();
+  long long records = 0;
+  run_tree(fs, cfg, records);
+  if (records != 12) std::abort();
   run_batch(state, fs, cfg, /*keep_work=*/true);
 }
 

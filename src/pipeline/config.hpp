@@ -92,8 +92,8 @@ struct StageFault {
   int kill_on_invocation = 0;  // 1-based; 0 disables
   bool transient = false;
   // Kill the whole process (std::_Exit) instead of failing the stage —
-  // models power loss / OOM-kill mid-batch. The checkpoint/resume tests
-  // spawn acx_batch with this armed, then resume the survivor.
+  // models power loss / OOM-kill mid-run. The kill-and-restart tests
+  // spawn acx_serve with this armed, then rerun the same command.
   bool kill_process = false;
 };
 

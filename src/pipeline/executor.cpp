@@ -73,7 +73,7 @@ Result<Unit, StageError> injected_fault_or(
   if (!f.stage.empty() && f.stage == name &&
       invocation == f.kill_on_invocation) {
     // Whole-process death (power loss / OOM-kill model): no destructors,
-    // no report — exactly the mid-batch crash the resume path recovers
+    // no report — exactly the mid-run crash a restart recovers
     // from. 137 mirrors a SIGKILLed exit status.
     if (f.kill_process) std::_Exit(137);
     return StageError{

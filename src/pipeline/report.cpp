@@ -154,14 +154,73 @@ void RunReport::sort_records() {
 
 namespace {
 
-// Rebase `path` onto a placeholder when it lives under `dir`, so the
-// canonical projection compares across work dirs.
-std::string rebase(const std::string& path, const std::string& dir,
-                   const char* placeholder) {
-  if (!dir.empty() && path.rfind(dir, 0) == 0) {
-    return placeholder + path.substr(dir.size());
+// The keys canonical_dump() drops wherever they appear in to_json():
+// where and how the run went (dirs, driver, team size), its timing,
+// its budget and breaker deltas, and the per-stage attempt groups,
+// whose retry counts and profiling split depend on the interleaving.
+constexpr std::string_view kNonCanonicalKeys[] = {
+    "version", "input_dir", "work_dir", "driver", "threads",
+    "speedup_vs_sequential", "total_seconds", "deadline", "breaker",
+    "stage_totals", "stage_shares", "stage_profile",
+    "output", "retries", "seconds", "stages"};
+
+// A path, or an array of paths, rebased onto `placeholder` when it
+// lives under `dir`, so the canonical view compares across work dirs.
+// Anything else (the counts block's numeric "input") passes through.
+Json rebased(const Json& v, const std::string& dir, const char* placeholder) {
+  if (v.is_array()) {
+    Json out = Json::array();
+    for (const Json& p : v.items()) out.push(rebased(p, dir, placeholder));
+    return out;
   }
-  return path;
+  if (!v.is_string() || dir.empty() || v.str().rfind(dir, 0) != 0) return v;
+  return Json(placeholder + v.str().substr(dir.size()));
+}
+
+// to_json() minus kNonCanonicalKeys, with the four path-valued keys
+// rebased: "input" onto <input>, the rest onto <work>.
+Json canonical(const Json& v, const RunReport& r) {
+  if (v.is_array()) {
+    Json out = Json::array();
+    for (const Json& item : v.items()) out.push(canonical(item, r));
+    return out;
+  }
+  if (!v.is_object()) return v;
+  Json out = Json::object();
+  for (const auto& [key, value] : v.fields()) {
+    if (std::find(std::begin(kNonCanonicalKeys), std::end(kNonCanonicalKeys),
+                  key) != std::end(kNonCanonicalKeys)) {
+      continue;
+    }
+    if (key == "input") {
+      out.set(key, rebased(value, r.input_dir, "<input>"));
+    } else if (key == "outputs" || key == "quarantine" ||
+               key == "rotd_output") {
+      out.set(key, rebased(value, r.work_dir, "<work>"));
+    } else {
+      out.set(key, canonical(value, r));
+    }
+  }
+  return out;
+}
+
+// One stages[] attempt-group array, shared by records and stations.
+Json stage_attempts_to_json(const std::vector<StageAttempt>& stages) {
+  Json out = Json::array();
+  for (const StageAttempt& s : stages) {
+    Json js = Json::object();
+    js.set("stage", s.stage);
+    js.set("attempts", s.attempts);
+    js.set("ok", s.ok);
+    if (!s.error.empty()) js.set("error", s.error);
+    js.set("seconds", s.seconds);
+    js.set("cache_hits", static_cast<double>(s.cache_hits));
+    js.set("cache_misses", static_cast<double>(s.cache_misses));
+    js.set("setup_seconds", s.setup_seconds);
+    js.set("kernel_seconds", s.kernel_seconds);
+    out.push(std::move(js));
+  }
+  return out;
 }
 
 }  // namespace
@@ -169,75 +228,7 @@ std::string rebase(const std::string& path, const std::string& dir,
 std::string RunReport::canonical_dump() const {
   RunReport sorted = *this;
   sorted.sort_records();
-
-  Json root = Json::object();
-  root.set("status", status());
-  Json counts = Json::object();
-  counts.set("input", static_cast<int>(records.size()));
-  counts.set("ok", count_ok());
-  counts.set("degraded", count_degraded());
-  counts.set("quarantined", count_quarantined());
-  counts.set("stations", static_cast<int>(stations.size()));
-  root.set("counts", std::move(counts));
-
-  Json recs = Json::array();
-  for (const RecordOutcome& r : sorted.records) {
-    Json jr = Json::object();
-    jr.set("record", r.record);
-    jr.set("input", rebase(r.input, input_dir, "<input>"));
-    jr.set("status", r.status_string());
-    if (r.status == RecordOutcome::Status::kOk) {
-      jr.set("points", static_cast<double>(r.points));
-      Json outs = Json::array();
-      for (const std::string& o : r.outputs) {
-        outs.push(Json(rebase(o, work_dir, "<work>")));
-      }
-      jr.set("outputs", std::move(outs));
-      if (!r.shed.empty()) {
-        Json shed = Json::array();
-        for (const ShedStage& s : r.shed) {
-          Json js = Json::object();
-          js.set("stage", s.stage);
-          js.set("reason", s.reason);
-          shed.push(std::move(js));
-        }
-        jr.set("shed", std::move(shed));
-      }
-    } else {
-      jr.set("reason", r.reason);
-      jr.set("quarantine", rebase(r.quarantine, work_dir, "<work>"));
-    }
-    recs.push(std::move(jr));
-  }
-  root.set("records", std::move(recs));
-
-  // v7 stations: the rollup minus timing. Which stations exist, which
-  // components arrived, the station.* checks raised and the rotd
-  // verdict are all interleaving-independent, so they belong to the
-  // canonical projection the driver-equivalence tests diff.
-  Json stats = Json::array();
-  for (const StationOutcome& st : sorted.stations) {
-    Json js = Json::object();
-    js.set("station", st.station);
-    Json comps = Json::array();
-    for (const std::string& c : st.components) comps.push(Json(c));
-    js.set("components", std::move(comps));
-    js.set("ok", st.ok);
-    js.set("quarantined", st.quarantined);
-    if (!st.checks.empty()) {
-      Json checks = Json::array();
-      for (const std::string& c : st.checks) checks.push(Json(c));
-      js.set("checks", std::move(checks));
-    }
-    js.set("rotd_status", st.rotd_status);
-    if (!st.rotd_reason.empty()) js.set("rotd_reason", st.rotd_reason);
-    if (!st.rotd_output.empty()) {
-      js.set("rotd_output", rebase(st.rotd_output, work_dir, "<work>"));
-    }
-    stats.push(std::move(js));
-  }
-  root.set("stations", std::move(stats));
-  return root.dump(2);
+  return canonical(sorted.to_json(), sorted).dump(2);
 }
 
 Json RunReport::to_json() const {
@@ -324,21 +315,7 @@ Json RunReport::to_json() const {
     }
     jr.set("retries", r.retries);
     jr.set("seconds", r.seconds);
-    Json stages = Json::array();
-    for (const auto& s : r.stages) {
-      Json js = Json::object();
-      js.set("stage", s.stage);
-      js.set("attempts", s.attempts);
-      js.set("ok", s.ok);
-      if (!s.error.empty()) js.set("error", s.error);
-      js.set("seconds", s.seconds);
-      js.set("cache_hits", static_cast<double>(s.cache_hits));
-      js.set("cache_misses", static_cast<double>(s.cache_misses));
-      js.set("setup_seconds", s.setup_seconds);
-      js.set("kernel_seconds", s.kernel_seconds);
-      stages.push(std::move(js));
-    }
-    jr.set("stages", std::move(stages));
+    jr.set("stages", stage_attempts_to_json(r.stages));
     recs.push(std::move(jr));
   }
   root.set("records", std::move(recs));
@@ -364,21 +341,7 @@ Json RunReport::to_json() const {
     if (!st.rotd_output.empty()) js.set("rotd_output", st.rotd_output);
     js.set("retries", st.retries);
     js.set("seconds", st.seconds);
-    Json stages = Json::array();
-    for (const auto& s : st.stages) {
-      Json jst = Json::object();
-      jst.set("stage", s.stage);
-      jst.set("attempts", s.attempts);
-      jst.set("ok", s.ok);
-      if (!s.error.empty()) jst.set("error", s.error);
-      jst.set("seconds", s.seconds);
-      jst.set("cache_hits", static_cast<double>(s.cache_hits));
-      jst.set("cache_misses", static_cast<double>(s.cache_misses));
-      jst.set("setup_seconds", s.setup_seconds);
-      jst.set("kernel_seconds", s.kernel_seconds);
-      stages.push(std::move(jst));
-    }
-    js.set("stages", std::move(stages));
+    js.set("stages", stage_attempts_to_json(st.stages));
     stats.push(std::move(js));
   }
   root.set("stations", std::move(stats));

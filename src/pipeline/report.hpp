@@ -32,7 +32,7 @@ struct StageAttempt {
 // or forgave after a storage-layer failure, with the registered reason
 // ("batch.deadline_soft", "storage.circuit_open", ...). A record with
 // shed stages that still publishes its essential V2 is *degraded*, not
-// quarantined — the graceful-degradation contract of docs/BATCH.md.
+// quarantined — the graceful-degradation contract of docs/SERVE.md.
 struct ShedStage {
   std::string stage;
   std::string reason;
@@ -49,7 +49,7 @@ struct RecordOutcome {
   bool degraded = false;
   std::vector<ShedStage> shed;
   // v6: published data points (sample count of the corrected record);
-  // 0 for quarantined records. Feeds the batch runner's sustained
+  // 0 for quarantined records. Feeds serve_stats.json's sustained
   // points/s metric.
   long long points = 0;
   std::string output;      // primary V2 path (ok records)
@@ -120,7 +120,7 @@ struct StageProfile {
 // v6 adds the robustness block: event-level status (ok|degraded|
 // quarantined), per-record degraded/shed/points, the deadline budget
 // with its soft-shed/hard-stop counters, and the storage circuit
-// breaker's counter deltas for this run (docs/BATCH.md).
+// breaker's counter deltas for this run (docs/SERVE.md).
 // v7 adds the stations block: per-station component rollups (which
 // suffixes arrived, how many members published), the station.*
 // consistency checks raised, and the station-phase rotd outcome with
@@ -181,12 +181,13 @@ struct RunReport {
   Json to_json() const;
   std::string dump() const { return to_json().dump(2); }
 
-  // The driver-independent projection: record ids, statuses, sorted
-  // outputs and quarantine reasons, and the counts block — with the
-  // work/input dirs rebased to "<work>"/"<input>" placeholders and all
-  // timing-derived values dropped. Byte-identical across the four
-  // drivers (modulo the redundant stages having no observable output)
-  // and across thread counts; the equivalence tests diff it directly.
+  // The driver-independent projection of to_json() on the sorted
+  // report: the identity, timing and attempt-group keys are dropped by
+  // name, and the input/output/quarantine/rotd paths rebased onto
+  // "<input>"/"<work>" placeholders. What is left — statuses, counts,
+  // outputs, reasons, stations — is byte-identical across the five
+  // drivers and across thread counts; the equivalence tests diff it
+  // directly. A field added to to_json() lands here unless dropped.
   std::string canonical_dump() const;
 
   // Strict re-read (used by acx_validate and the tests).
@@ -195,8 +196,8 @@ struct RunReport {
 
 inline constexpr const char* kRunReportFileName = "run_report.json";
 
-// The breaker block every report carries (run report, batch report,
-// serve stats): {rejected_ops, opens, half_open_recoveries}. The strict
+// The breaker block every report carries (run report, serve stats):
+// {rejected_ops, opens, half_open_recoveries}. The strict
 // reader rejects a missing block or a negative or missing counter.
 Json breaker_to_json(const storage::BreakerCounters& c);
 Result<storage::BreakerCounters, std::string> breaker_from_json(

@@ -5,13 +5,20 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <map>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "formats/v1.hpp"
+#include "pipeline/runner.hpp"
 #include "pipeline/scheduler.hpp"
+#include "pipeline/validate.hpp"
+#include "util/bounded_queue.hpp"
 #include "util/clock.hpp"
+#include "util/rng.hpp"
 
 namespace acx::pipeline {
 
@@ -77,7 +84,124 @@ std::string owner_id() {
              std::chrono::system_clock::now().time_since_epoch().count());
 }
 
+// Runs one event from a clean slate: its work dir is wiped first (a
+// crashed run must not leak partial state into this one), then timed
+// through StageRunner::run_event under the job's deadline overrides.
+EventOutcome run_event_job(FileSystem& fs, const RunnerConfig& runner,
+                           const EventJob& job) {
+  EventOutcome out;
+  out.event = job.event;
+  (void)fs.remove_all(job.work_dir);
+
+  RunnerConfig cfg = runner;
+  if (job.deadline_soft_s >= 0) cfg.deadline.soft_seconds = job.deadline_soft_s;
+  if (job.deadline_hard_s >= 0) cfg.deadline.hard_seconds = job.deadline_hard_s;
+  const double started = steady_now_seconds();
+  auto report = StageRunner(fs, cfg).run_event(job.input_dir, job.work_dir);
+  out.seconds = steady_now_seconds() - started;
+  if (!report.ok()) {
+    // Run-level failure (input dir unusable, report unwritable): the
+    // event is reported quarantined as a whole — counted, never lost.
+    out.status = "quarantined";
+    out.error = reason_slug(report.error());
+    return out;
+  }
+  const RunReport& r = report.value();
+  out.status = r.status();
+  out.records_ok = r.count_ok();
+  out.records_degraded = r.count_degraded();
+  out.records_quarantined = r.count_quarantined();
+  out.points = r.total_points();
+  for (const auto& [stage, profile] : r.stage_profile()) {
+    out.cache_hits += profile.cache_hits;
+    out.cache_misses += profile.cache_misses;
+  }
+  return out;
+}
+
 }  // namespace
+
+stdfs::path event_work_dir(const stdfs::path& work_root,
+                           const std::string& event, int shards) {
+  std::string shard = "s";
+  shard += std::to_string(fnv1a64(event) %
+                          static_cast<std::uint64_t>(std::max(shards, 1)));
+  return work_root / "events" / shard / event;
+}
+
+// The event engine (docs/SERVE.md, "The event engine"): admit -> bounded
+// priority queue -> event workers -> serve_one (a fresh-slate run, its
+// outcome and its done/ audit). Its own calls (admit, start, drain)
+// come from run()'s thread. The workers start on start(), on an admit()
+// that finds the queue full, or on drain(): until then admitted jobs
+// only queue, so run() can admit a whole burst before the first job
+// runs and priority orders all of it.
+class SpoolServer::Engine {
+ public:
+  explicit Engine(SpoolServer& server)
+      : server_(server),
+        team_size_(std::max(server.cfg_.event_workers, 1)),
+        queue_(server.cfg_.queue_capacity, Less{server.cfg_.priority}) {}
+  ~Engine() { drain(); }
+  Engine(const Engine&) = delete;
+  Engine& operator=(const Engine&) = delete;
+
+  // Starts the workers; later calls do nothing.
+  void start() {
+    if (!workers_.empty()) return;
+    workers_.reserve(static_cast<std::size_t>(team_size_));
+    for (int w = 0; w < team_size_; ++w) {
+      workers_.emplace_back([this] {
+        while (auto job = queue_.pop()) {
+          in_flight_.fetch_add(1);
+          server_.serve_one(*job);
+          in_flight_.fetch_sub(1);
+        }
+      });
+    }
+  }
+
+  // Sets the job's work dir and queues it; blocks while the queue is
+  // full. False once the engine is drained (the job is not admitted).
+  bool admit(EventJob job) {
+    job.work_dir =
+        event_work_dir(server_.work_root_, job.event, server_.cfg_.shards);
+    // A full queue only drains through the workers.
+    if (queue_.size() >= queue_.capacity()) start();
+    return queue_.push(std::move(job)) == QueuePushResult::kAccepted;
+  }
+
+  // Stops admission, lets the workers finish every queued job, joins.
+  void drain() {
+    start();  // the queued jobs still run
+    queue_.close();
+    for (std::thread& t : workers_) {
+      if (t.joinable()) t.join();
+    }
+  }
+
+  int workers() const { return team_size_; }
+  std::size_t queue_depth() const { return queue_.size(); }
+  long long in_flight() const { return in_flight_.load(); }
+  bool idle() const { return queue_depth() == 0 && in_flight() == 0; }
+
+ private:
+  struct Less {  // "a ranks below b"; ties stay FIFO in the queue
+    ServeConfig::Priority priority;
+    bool operator()(const EventJob& a, const EventJob& b) const {
+      using P = ServeConfig::Priority;
+      if (priority == P::kLargest) return a.priority_bytes < b.priority_bytes;
+      if (priority == P::kSmallest) return a.priority_bytes > b.priority_bytes;
+      return false;  // fifo: equal priority everywhere
+    }
+  };
+
+  SpoolServer& server_;
+  const int team_size_;
+  BoundedPriorityQueue<EventJob, Less> queue_;
+  std::atomic<long long> in_flight_{0};
+  std::vector<std::thread> workers_;
+};
 
 Json ServeStats::to_json() const {
   Json root = Json::object();
@@ -190,7 +314,7 @@ EventJob SpoolServer::parse_manifest(const std::string& name,
   return job;
 }
 
-bool SpoolServer::claim(EventEngine& engine, const stdfs::path& manifest) {
+bool SpoolServer::claim(Engine& engine, const stdfs::path& manifest) {
   const std::string name = manifest.filename().string();
   // Claiming is the atomic handoff: whoever renames the manifest out of
   // the spool root owns it. A failed rename (producer still writing via
@@ -234,7 +358,19 @@ void SpoolServer::reject(const std::string& name, const std::string& why,
 }
 
 void SpoolServer::serve_one(const EventJob& job) {
-  record_completion(run_event_job(fs_, cfg_.runner, job));
+  const EventOutcome out = run_event_job(fs_, cfg_.runner, job);
+  record_completion(out);
+  // A run that failed as a whole wrote no run report: its note in done/
+  // keeps the reason, written like the rejected/ notes. A run that
+  // succeeded clears the note an earlier failed run left.
+  const stdfs::path note = done_ / (job.manifest + ".reason");
+  if (!out.error.empty()) {
+    (void)retry_io<Unit>(cfg_.runner, [&] {
+      return atomic_write_file(fs_, note, out.error + "\n");
+    });
+  } else if (fs_.exists(note)) {
+    (void)retry_io<Unit>(cfg_.runner, [&] { return fs_.remove_all(note); });
+  }
   // Manifest audit trail: claimed -> done once the event is reported.
   (void)retry_io<Unit>(cfg_.runner, [&] {
     return fs_.rename(mine_ / job.manifest, done_ / job.manifest);
@@ -384,8 +520,7 @@ Result<ServeStats, IoError> SpoolServer::run(const stdfs::path& spool,
                         [&] { return fs_.rename(staging, mine_); });
   if (!made.ok()) return std::move(made).take_error();
 
-  EventEngine engine(cfg_, work_root_, cfg_.event_workers,
-                     [this](const EventJob& job) { serve_one(job); });
+  Engine engine(*this);
   engine_ = &engine;
 
   // The request stream: scan, claim by atomic rename, parse, admit.
@@ -393,34 +528,43 @@ Result<ServeStats, IoError> SpoolServer::run(const stdfs::path& spool,
   bool admitting = true;
   for (;;) {
     std::vector<stdfs::path> manifests;
+    bool scanned = false;
     if (admitting) {
-      auto listed = fs_.list_dir(spool_);
-      if (listed.ok()) {
-        for (const stdfs::path& p : listed.value()) {
-          if (p.extension() == kManifestExtension) manifests.push_back(p);
-        }
-      } else {
+      auto listed = retry_io<std::vector<stdfs::path>>(
+          cfg_.runner, [&] { return fs_.list_dir(spool_); });
+      scanned = listed.ok();
+      for (const stdfs::path& p : listed.value_or({})) {
+        if (p.extension() == kManifestExtension) manifests.push_back(p);
+      }
+      if (!scanned) {
         // A storage hiccup on the scan path must not kill the service:
-        // count it and retry on the next poll.
+        // count it and scan again on the next poll.
         std::lock_guard<std::mutex> lock(stats_mu_);
         ++stats_.scan_errors;
       }
     }
 
+    bool claimed = false;
     for (const stdfs::path& manifest : manifests) {
       // max_events can trip mid-scan; the rest of this scan's manifests
       // stay unclaimed in the spool root for the next service instance.
       if (!admitting) break;
       if (!claim(engine, manifest)) continue;
+      claimed = true;
       idle_since = steady_now_seconds();
       std::lock_guard<std::mutex> lock(stats_mu_);
       admitting = cfg_.max_events <= 0 || stats_.admitted < cfg_.max_events;
     }
+    // A scan that claimed something is followed by another at once, so a
+    // burst that fits the queue is claimed whole before the loop first
+    // sleeps and the workers start: they find it all queued, in priority
+    // order, and no spool touch of this thread interleaves with it.
+    if (claimed && admitting) continue;
 
     if (!admitting && engine.idle()) {
       break;  // max_events reached and everything drained
     }
-    if (manifests.empty()) {
+    if (scanned && manifests.empty()) {
       // The sentinel is only honored once the spool is visibly empty,
       // so "drop N manifests, then the sentinel" admits all N first.
       if (fs_.exists(spool_ / kServeShutdownSentinel)) break;
@@ -428,9 +572,10 @@ Result<ServeStats, IoError> SpoolServer::run(const stdfs::path& spool,
           steady_now_seconds() - idle_since >= cfg_.idle_exit_seconds) {
         break;
       }
-    } else {
+    } else if (!manifests.empty()) {
       idle_since = steady_now_seconds();
     }
+    engine.start();
     std::this_thread::sleep_for(std::chrono::milliseconds(cfg_.poll_ms));
   }
 
@@ -450,6 +595,87 @@ Result<ServeStats, IoError> SpoolServer::run(const stdfs::path& spool,
   auto wrote = write_stats(final_stats);
   if (!wrote.ok()) return std::move(wrote).take_error();
   return final_stats;
+}
+
+Result<std::vector<EventJob>, IoError> discover_events(
+    FileSystem& fs, const RunnerConfig& runner, const stdfs::path& root) {
+  auto tree = retry_io<std::vector<stdfs::path>>(
+      runner, [&] { return fs.list_tree(root); });
+  if (!tree.ok()) return std::move(tree).take_error();
+
+  std::map<std::string, EventJob> events;
+  for (const stdfs::path& p : tree.value()) {
+    if (p.extension() != formats::kV1Extension) continue;
+    const stdfs::path dir = p.parent_path();
+    std::string id = dir.lexically_relative(root).generic_string();
+    if (id.empty() || id == ".") id = "root";
+    std::replace(id.begin(), id.end(), '/', '_');
+    EventJob& job = events[id];
+    if (job.event.empty()) {
+      job.event = id;
+      job.input_dir = dir;
+    } else if (job.input_dir != dir) {
+      return IoError{IoError::Code::kEventIdCollision, ErrorClass::kPoison,
+                     root.string(),
+                     "directories '" + job.input_dir.string() + "' and '" +
+                         dir.string() + "' both flatten to event id '" + id +
+                         "'"};
+    }
+    job.priority_bytes += fs.file_size(p);
+  }
+
+  std::vector<EventJob> out;
+  out.reserve(events.size());
+  for (auto& [id, job] : events) out.push_back(std::move(job));
+  return out;
+}
+
+Result<TreeSpool, IoError> spool_tree(FileSystem& fs, const ServeConfig& cfg,
+                                      const stdfs::path& root,
+                                      const stdfs::path& spool,
+                                      const stdfs::path& work_root) {
+  auto events = discover_events(fs, cfg.runner, root);
+  if (!events.ok()) return std::move(events).take_error();
+  const stdfs::path claimed = spool / "claimed";
+  auto made = create_dirs(fs, cfg.runner, {claimed});
+  if (!made.ok()) return std::move(made).take_error();
+  auto claims = retry_io<std::vector<stdfs::path>>(
+      cfg.runner, [&] { return fs.list_tree(claimed); });
+  if (!claims.ok()) return std::move(claims).take_error();
+  std::set<stdfs::path> held;
+  for (const stdfs::path& p : claims.value()) held.insert(p.filename());
+
+  TreeSpool out;
+  for (const EventJob& job : events.value()) {
+    const std::string name = job.event + kManifestExtension;
+    if (held.count(name) > 0) continue;
+    if (fs.exists(spool / "done" / name)) {
+      const ValidationSummary done = validate_workdir(
+          fs, event_work_dir(work_root, job.event, cfg.shards));
+      if (done.clean()) {
+        out.done.emplace_back(job.event, done.status);
+        continue;
+      }
+    }
+    Json manifest = Json::object();
+    manifest.set("event", job.event);
+    // Absolute, so a restart from another directory reads the same input.
+    std::error_code ec;
+    const stdfs::path input = stdfs::absolute(job.input_dir, ec);
+    manifest.set("input", (ec ? job.input_dir : input).string());
+    manifest.set("priority_bytes", static_cast<double>(job.priority_bytes));
+    // atomic_write_file stages under a name the scan never matches.
+    auto wrote = retry_io<Unit>(cfg.runner, [&] {
+      return atomic_write_file(fs, spool / name, manifest.dump(2));
+    });
+    if (!wrote.ok()) return std::move(wrote).take_error();
+    out.spooled.push_back(job.event);
+  }
+  auto sentinel = retry_io<Unit>(cfg.runner, [&] {
+    return fs.write_file(spool / kServeShutdownSentinel, "");
+  });
+  if (!sentinel.ok()) return std::move(sentinel).take_error();
+  return out;
 }
 
 }  // namespace acx::pipeline

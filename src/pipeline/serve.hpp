@@ -1,12 +1,16 @@
 #pragma once
 
+#include <cstdint>
 #include <filesystem>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
-#include "pipeline/engine.hpp"
+#include "pipeline/config.hpp"
 #include "pipeline/report.hpp"
 #include "util/fs.hpp"
 #include "util/json.hpp"
@@ -19,15 +23,30 @@ namespace acx::pipeline {
 // spool directory of event manifests, with the record-level fan-out of
 // every event on one persistent work-stealing WorkPool, so team spin-up
 // and plan-cache warm-up are paid once per process instead of once per
-// event.
-struct ServeConfig : EngineConfig {
-  // The service's engine defaults: the pool driver it exists for, two
-  // events at once, a deeper admission queue.
-  ServeConfig() {
-    runner.driver = Driver::kPool;
-    event_workers = 2;
-    queue_capacity = 8;
-  }
+// event. A tree run (spool_tree below) is the same service over a spool
+// it fills itself from a directory of events.
+struct ServeConfig {
+  ServeConfig() { runner.driver = Driver::kPool; }  // the service's driver
+
+  // Per-event pipeline configuration, deadline budget and breaker
+  // included.
+  RunnerConfig runner;
+  // Inter-event concurrency: events running at once, each with the
+  // configured driver's record fan-out inside.
+  int event_workers = 2;
+  // Admission blocks once this many events wait for a worker —
+  // backpressure against a stalled worker pool.
+  std::size_t queue_capacity = 8;
+  // Work dirs shard as event_work_dir() says, so a huge run does not
+  // pile them into one directory.
+  int shards = 16;
+  // Which admitted event a freed worker claims next.
+  enum class Priority {
+    kFifo,      // admission order
+    kLargest,   // most priority bytes first (straggler avoidance)
+    kSmallest,  // fewest priority bytes first (fast first results)
+  };
+  Priority priority = Priority::kFifo;
   // Spool scan cadence while idle, milliseconds.
   int poll_ms = 50;
   // Stop admitting after this many events (0 = unbounded) — the soak
@@ -43,6 +62,58 @@ struct ServeConfig : EngineConfig {
   // transient pool — the anti-pattern the service exists to avoid;
   // acx_serve always passes one).
   WorkPool* pool = nullptr;
+};
+
+// The CLI/report spellings, indexed by Priority.
+inline constexpr const char* kPriorityNames[] = {"fifo", "largest",
+                                                 "smallest"};
+
+inline const char* to_string(ServeConfig::Priority p) {
+  return kPriorityNames[static_cast<int>(p)];
+}
+
+inline std::optional<ServeConfig::Priority> parse_priority(
+    std::string_view name) {
+  for (std::size_t i = 0; i < std::size(kPriorityNames); ++i) {
+    if (name == kPriorityNames[i]) return ServeConfig::Priority(i);
+  }
+  return std::nullopt;
+}
+
+// One event handed to the engine.
+struct EventJob {
+  std::string event;                // event id
+  std::filesystem::path input_dir;  // the directory holding its records
+  std::filesystem::path work_dir;   // set on admission: the sharded work dir
+  // Largest/smallest-first key: the manifest's priority_bytes (a tree
+  // run sets it to the event's summed record bytes).
+  std::uintmax_t priority_bytes = 0;
+  double deadline_soft_s = -1;  // per-event overrides; < 0 = the runner's
+  double deadline_hard_s = -1;
+  std::string manifest;  // the spool claim it came from
+};
+
+// <work_root>/events/s<fnv1a64(event) % shards>/<event>: the work dir
+// admission gives an event, and where a tree run looks for its report.
+std::filesystem::path event_work_dir(const std::filesystem::path& work_root,
+                                     const std::string& event, int shards);
+
+// One event's outcome: what serve_stats.json accumulates. The record
+// counts follow the run report's definition: degraded records are ok
+// records, and ok + quarantined = records.
+struct EventOutcome {
+  std::string event;
+  // "ok" | "degraded" | "quarantined" — the event report's status, or
+  // "quarantined" when the run itself failed (see `error`).
+  std::string status = "ok";
+  std::string error;      // run-level failure slug; empty when the run ran
+  int records_ok = 0;     // degraded included
+  int records_degraded = 0;
+  int records_quarantined = 0;
+  long long points = 0;   // published data points
+  double seconds = 0;     // wall clock of this event's run
+  long long cache_hits = 0;  // plan-cache traffic of the run
+  long long cache_misses = 0;
 };
 
 // One event's plan-cache measurement, sampled into the rolling
@@ -116,7 +187,8 @@ inline constexpr const char* kClaimLockFileName = "owner.lock";
 //   <spool>/tmp/             producers stage here before renaming in
 //   <spool>/claimed/<owner>/ one service instance's claims, plus the
 //                            owner.lock it holds for its lifetime
-//   <spool>/done/            manifest audit trail of completed events
+//   <spool>/done/            manifest audit trail of completed events,
+//                            plus <name>.json.reason for a run that failed
 //   <spool>/rejected/        malformed or duplicate manifests
 //   <spool>/shutdown         sentinel: drain everything, then exit
 //   <work>/events/<shard>/<event>/   one StageRunner work dir per event
@@ -139,13 +211,15 @@ class SpoolServer {
                                   const std::filesystem::path& work_root);
 
  private:
+  class Engine;  // the event engine run() drives (serve.cpp)
+
   // Parses and validates one claimed manifest; empty event on failure
   // with `error` describing why (for the rejected/ audit note).
   EventJob parse_manifest(const std::string& name, const std::string& text,
                           std::string& error) const;
   // Claims one spool-root manifest and admits it, or rejects it. False
   // once the engine stops admitting.
-  bool claim(EventEngine& engine, const std::filesystem::path& manifest);
+  bool claim(Engine& engine, const std::filesystem::path& manifest);
   void reject(const std::string& name, const std::string& why,
               bool duplicate);
   void serve_one(const EventJob& job);
@@ -162,12 +236,43 @@ class SpoolServer {
   std::filesystem::path spool_, claimed_, mine_, rejected_, done_, work_root_;
   double started_at_ = 0;
   storage::BreakerWindow breaker_;
-  const EventEngine* engine_ = nullptr;  // run()'s engine, while it runs
+  const Engine* engine_ = nullptr;  // run()'s engine, while it runs
 
   std::mutex stats_mu_;
   ServeStats stats_;
   std::set<std::string> seen_events_;
   long long trajectory_stride_ = 1;
 };
+
+// Tree discovery (docs/SERVE.md, "Tree runs"): every directory under
+// `root` holding *.v1 records is one event. Its id is the directory's
+// path below `root` with '/' flattened to '_' ("root" for records at
+// `root` itself), its priority_bytes the summed size of its records.
+// Sorted by id. Two directories that flatten to one id fail the whole
+// discovery with kEventIdCollision naming both; an id the spool would
+// refuse is kept, so its manifest is rejected with a reason.
+Result<std::vector<EventJob>, IoError> discover_events(
+    FileSystem& fs, const RunnerConfig& runner,
+    const std::filesystem::path& root);
+
+// What a tree run's front half did with each discovered event.
+struct TreeSpool {
+  std::vector<std::string> spooled;  // ids written into the spool
+  // Ids left out because they are done, each with the event status its
+  // run report records ("ok" | "degraded" | "quarantined").
+  std::vector<std::pair<std::string, std::string>> done;
+};
+
+// A tree run's front half: discovers the events under `root`, writes
+// one manifest <event>.json per event into `spool`, then the shutdown
+// sentinel, so SpoolServer::run over the same spool and work root
+// drains exactly the tree and exits. Resume uses the spool's own state:
+// an event is not spooled again while its manifest is in claimed/
+// (startup reclaim re-serves a dead owner's, a live peer keeps its
+// own), or once it is in done/ and its work dir validates.
+Result<TreeSpool, IoError> spool_tree(FileSystem& fs, const ServeConfig& cfg,
+                                      const std::filesystem::path& root,
+                                      const std::filesystem::path& spool,
+                                      const std::filesystem::path& work_root);
 
 }  // namespace acx::pipeline

@@ -67,6 +67,7 @@ ValidationSummary validate_workdir(FileSystem& fs,
     return summary;
   }
   const RunReport report = std::move(parsed).take();
+  summary.status = report.status();
 
   std::set<std::string> claimed_out, claimed_quarantine;
   for (const RecordOutcome& r : report.records) {

@@ -14,6 +14,7 @@ struct ValidationIssue {
 };
 
 struct ValidationSummary {
+  std::string status;  // the report's event status; empty if unreadable
   int records_ok = 0;
   int records_quarantined = 0;
   int stations_rotd_ok = 0;  // stations whose .rotd passed the audit

@@ -18,7 +18,7 @@ enum class QueuePushResult {
   kClosed,    // the queue closed first; the element was NOT admitted
 };
 
-// Bounded blocking priority queue — the batch/serve admission seam.
+// Bounded blocking priority queue — the event engine's admission seam.
 // push() blocks while the queue is at capacity (backpressure: the
 // producer cannot run ahead of the workers by more than `capacity`
 // events); pop() blocks while it is empty and returns the
@@ -67,6 +67,7 @@ class BoundedPriorityQueue {
     not_empty_.notify_all();
   }
 
+  std::size_t capacity() const { return capacity_; }
   std::size_t size() const {
     std::lock_guard<std::mutex> lock(mu_);
     return items_.size();

@@ -142,9 +142,15 @@ Result<std::vector<stdfs::path>, IoError> BreakerFileSystem::list_tree(
 }
 
 Result<Unit, IoError> BreakerFileSystem::remove_all(const stdfs::path& path) {
-  if (!breaker_.allow()) return rejected(path);
+  // An atomic-write temporary is removed only as the cleanup of a failed
+  // write or rename. That cleanup is never shed, or the write that
+  // tripped the breaker would leave its torn temporary behind; and its
+  // success says nothing of the write path, so it must not reset the
+  // failure count, or a backend that fails every write never trips.
+  const bool cleanup = is_atomic_tmp_name(path);
+  if (!cleanup && !breaker_.allow()) return rejected(path);
   auto r = inner_.remove_all(path);
-  record(breaker_, r);
+  if (!cleanup || !r.ok()) record(breaker_, r);
   return r;
 }
 

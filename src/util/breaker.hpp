@@ -60,8 +60,8 @@ class CircuitBreaker {
   BreakerCounters counters_;
 };
 
-// The counter deltas of one breaker across a window — a run, a batch or
-// a service lifetime — measured from construction. All zero when no
+// The counter deltas of one breaker across a window — a run or a
+// service lifetime — measured from construction. All zero when no
 // breaker is wired in.
 class BreakerWindow {
  public:

@@ -35,6 +35,9 @@ struct IoError {
     kInjectedRemoveFault,
     kGraphInvalid,  // stage graph failed its structural audit
     kCircuitOpen,   // storage circuit breaker is shedding load
+    // Two input directories flatten to one event id (tree discovery;
+    // fails the whole run, never a record).
+    kEventIdCollision,
   };
 
   Code code{};
@@ -65,6 +68,7 @@ inline const char* slug(IoError::Code c) {
     case IoError::Code::kInjectedRemoveFault: return "injected_remove_fault";
     case IoError::Code::kGraphInvalid: return "graph_invalid";
     case IoError::Code::kCircuitOpen: return "circuit_open";
+    case IoError::Code::kEventIdCollision: return "event_id_collision";
   }
   return "unknown";
 }

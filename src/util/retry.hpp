@@ -59,7 +59,7 @@ inline void sleep_ms(int ms) {
 
 // True when a backoff sleep of the given length still fits the caller's
 // remaining budget; retrying stops early when it does not (the deadline
-// plumbing of the batch runner). An empty function means "unbounded".
+// plumbing of the event engine). An empty function means "unbounded".
 using RetryBudgetFn = std::function<bool(int /*next_backoff_ms*/)>;
 
 // Re-runs `fn` while it returns a *transient* error, up to

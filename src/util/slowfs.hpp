@@ -17,7 +17,7 @@ namespace acx::storage {
 // Slow). Every operation pays base_ms, plus a uniform seeded jitter,
 // plus a size-proportional term for reads/writes — the shape of the
 // cloud-storage cost model (per-request overhead + bandwidth) from the
-// Mohapatra et al. study the batch runner is engineered against.
+// Mohapatra et al. study the event engine is engineered against.
 struct SlowConfig {
   std::uint64_t seed = 0;
   double base_ms = 0;      // fixed per-operation latency
@@ -32,8 +32,8 @@ struct SlowStats {
   double total_latency_ms = 0;   // latency injected, summed
 };
 
-// Internally locked (the RNG and stats are shared across the batch
-// runner's worker threads); the injected sleep runs outside the lock so
+// Internally locked (the RNG and stats are shared across the event
+// workers); the injected sleep runs outside the lock so
 // slow operations do not serialize each other.
 class SlowFileSystem final : public FileSystem {
  public:

@@ -1,8 +1,8 @@
-// The multi-event batch layer: bounded-queue admission, the two-axis
-// scheduler, per-event deadline budgets (soft shed / hard stop),
-// graceful degradation to `degraded` status, checkpoint/resume via the
-// journal, and the kill-and-resume crash contract (spawning the real
-// acx_batch binary and killing it mid-batch).
+// The multi-event batch layer: bounded-queue admission, per-event
+// deadline budgets (soft shed / hard stop), graceful degradation to
+// `degraded` status, and the tree run (`acx_serve --input`): discovery,
+// resume off the spool's done/ and the kill-and-resume crash contract
+// (spawning the real acx_serve binary and killing it mid-run).
 
 #include <gtest/gtest.h>
 
@@ -11,12 +11,14 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
-#include "pipeline/batch.hpp"
 #include "pipeline/runner.hpp"
+#include "pipeline/serve.hpp"
 #include "pipeline/validate.hpp"
 #include "synth/synth.hpp"
 
@@ -30,12 +32,6 @@ namespace {
 
 namespace stdfs = std::filesystem;
 
-BatchConfig batch_config() {
-  BatchConfig cfg;
-  cfg.runner.sleep = [](int) {};
-  return cfg;
-}
-
 void build_event(FileSystem& fs, const stdfs::path& dir, int n_files) {
   synth::EventSpec spec = synth::paper_events()[0];
   spec.n_files = n_files;
@@ -44,19 +40,65 @@ void build_event(FileSystem& fs, const stdfs::path& dir, int n_files) {
   ASSERT_TRUE(synth::build_event_dataset(fs, dir, spec, scfg).ok());
 }
 
-// Reads one event's run report back out of the batch work tree.
-RunReport event_report(FileSystem& fs, const BatchReport& batch,
-                       const std::string& event) {
-  for (const EventOutcome& e : batch.events) {
-    if (e.event != event) continue;
-    auto text = fs.read_file(stdfs::path(e.work_dir) / kRunReportFileName);
-    EXPECT_TRUE(text.ok());
-    auto parsed = RunReport::from_json_text(text.ok() ? text.value() : "{}");
-    EXPECT_TRUE(parsed.ok()) << (parsed.ok() ? "" : parsed.error());
-    if (parsed.ok()) return std::move(parsed).take();
+// A tree run's engine: one sequential event at a time, no backoff sleeps.
+ServeConfig tree_config() {
+  ServeConfig cfg;
+  cfg.runner.driver = Driver::kSequential;
+  cfg.runner.sleep = [](int) {};
+  cfg.event_workers = 1;
+  cfg.poll_ms = 2;
+  return cfg;
+}
+
+// One tree run in process over <root>/input, <root>/spool and
+// <root>/work, as `acx_serve --input` runs it: spool, then drain.
+struct TreeRun {
+  std::vector<std::string> spooled;
+  std::vector<std::pair<std::string, std::string>> done;  // skipped: id, status
+  ServeStats stats;
+};
+
+TreeRun tree_run(FileSystem& fs, const ServeConfig& cfg,
+                 const stdfs::path& root) {
+  TreeRun out;
+  auto spooled = spool_tree(fs, cfg, root / "input", root / "spool",
+                            root / "work");
+  EXPECT_TRUE(spooled.ok()) << spooled.error().to_string();
+  out.spooled = spooled.ok() ? spooled.value().spooled
+                             : std::vector<std::string>{};
+  out.done = spooled.ok() ? spooled.value().done : out.done;
+  auto served = SpoolServer(fs, cfg).run(root / "spool", root / "work");
+  EXPECT_TRUE(served.ok()) << served.error().to_string();
+  if (served.ok()) out.stats = served.value();
+  return out;
+}
+
+// One event's run_report.json text, from the work dir admit() gave it.
+std::string report_text(FileSystem& fs, const stdfs::path& work,
+                        const std::string& event,
+                        int shards = ServeConfig{}.shards) {
+  auto text = fs.read_file(event_work_dir(work, event, shards) /
+                           kRunReportFileName);
+  EXPECT_TRUE(text.ok()) << event;
+  return text.value_or("{}");
+}
+
+RunReport event_report(FileSystem& fs, const stdfs::path& work,
+                       const std::string& event,
+                       int shards = ServeConfig{}.shards) {
+  auto parsed = RunReport::from_json_text(report_text(fs, work, event, shards));
+  EXPECT_TRUE(parsed.ok()) << event << ": "
+                           << (parsed.ok() ? "" : parsed.error());
+  return parsed.ok() ? std::move(parsed).take() : RunReport{};
+}
+
+// Manifests (*.json) anywhere under `dir`.
+int count_manifests(FileSystem& fs, const stdfs::path& dir) {
+  int n = 0;
+  for (const stdfs::path& p : fs.list_tree(dir).value_or({})) {
+    if (p.extension() == ".json") ++n;
   }
-  ADD_FAILURE() << "event '" << event << "' not in the batch report";
-  return RunReport{};
+  return n;
 }
 
 TEST(BoundedQueue, PopsByPriorityWithFifoTieBreak) {
@@ -167,97 +209,138 @@ TEST(BoundedQueue, ConcurrentCloseRaceNeverHangsOrDuplicates) {
   }
 }
 
-TEST(Batch, RunsEveryEventAndWritesAValidatingBatchReport) {
+TEST(Batch, RunsEveryEventAndEveryWorkDirValidates) {
   test::TempDir tmp("batch");
   RealFileSystem fs;
   const auto input = tmp.path() / "input";
+  const auto spool = tmp.path() / "spool";
   const auto work = tmp.path() / "work";
   for (const char* ev : {"ev1", "ev2", "ev3", "ev4", "ev5"}) {
     build_event(fs, input / ev, 3);
   }
 
-  BatchConfig cfg = batch_config();
+  ServeConfig cfg = tree_config();
   cfg.event_workers = 3;
-  cfg.queue_capacity = 2;  // exercises backpressure on the producer
+  cfg.queue_capacity = 2;  // exercises backpressure on the claimer
   cfg.shards = 4;
-  auto run = BatchRunner(fs, cfg).run(input, work);
-  ASSERT_TRUE(run.ok()) << run.error().to_string();
-  const BatchReport& report = run.value();
+  const TreeRun run = tree_run(fs, cfg, tmp.path());
 
-  ASSERT_EQ(report.events.size(), 5u);
-  EXPECT_EQ(report.count_status("ok"), 5);
-  EXPECT_EQ(report.count_resumed(), 0);
-  EXPECT_GT(report.records_per_second, 0);
-  EXPECT_GT(report.points_per_second, 0);
-  for (const EventOutcome& e : report.events) {
-    EXPECT_EQ(e.records_ok, 3) << e.event;
-    EXPECT_GT(e.points, 0) << e.event;
-    EXPECT_TRUE(validate_workdir(fs, e.work_dir).clean()) << e.event;
-    EXPECT_TRUE(fs.exists(work / "journal" / (e.event + ".json"))) << e.event;
+  EXPECT_EQ(run.spooled,
+            (std::vector<std::string>{"ev1", "ev2", "ev3", "ev4", "ev5"}));
+  EXPECT_EQ(run.stats.served, 5);
+  EXPECT_EQ(run.stats.ok, 5);
+  EXPECT_EQ(run.stats.records_ok, 15);
+  EXPECT_GT(run.stats.points, 0);
+  for (const char* ev : {"ev1", "ev2", "ev3", "ev4", "ev5"}) {
+    const RunReport report = event_report(fs, work, ev, cfg.shards);
+    EXPECT_EQ(report.count_ok(), 3) << ev;
+    EXPECT_GT(report.total_points(), 0) << ev;
+    EXPECT_TRUE(validate_workdir(fs, event_work_dir(work, ev, cfg.shards))
+                    .clean())
+        << ev;
+    const std::string name = std::string(ev) + ".json";
+    EXPECT_TRUE(fs.exists(spool / "done" / name)) << ev;
+    EXPECT_FALSE(fs.exists(spool / "done" / (name + ".reason"))) << ev;
+
+    // The manifest weighs the event by its summed record bytes.
+    std::uintmax_t bytes = 0;
+    for (const stdfs::path& p : fs.list_dir(input / ev).value_or({})) {
+      bytes += fs.file_size(p);
+    }
+    auto manifest = Json::parse(fs.read_file(spool / "done" / name).value());
+    ASSERT_TRUE(manifest.ok()) << ev;
+    EXPECT_EQ(manifest.value().get_number("priority_bytes", -1),
+              static_cast<double>(bytes))
+        << ev;
   }
+  EXPECT_EQ(count_manifests(fs, spool / "claimed"), 0);
+  EXPECT_FALSE(fs.exists(spool / kServeShutdownSentinel));
 
-  // The written batch report round-trips through the strict reader.
-  auto text = fs.read_file(work / kBatchReportFileName);
+  // The written stats round-trip as JSON and count the whole tree.
+  auto text = fs.read_file(work / kServeStatsFileName);
   ASSERT_TRUE(text.ok());
-  auto parsed = BatchReport::from_json_text(text.value());
-  ASSERT_TRUE(parsed.ok()) << parsed.error();
-  EXPECT_EQ(parsed.value().count_status("ok"), 5);
+  auto parsed = Json::parse(text.value());
+  ASSERT_TRUE(parsed.ok());
+  const Json* events = parsed.value().find("events");
+  ASSERT_NE(events, nullptr);
+  EXPECT_EQ(events->get_number("served", -1), 5);
+  EXPECT_EQ(events->get_number("ok", -1), 5);
 }
 
-TEST(Batch, ResumeSkipsJournaledEventsAndKeepsReportsByteIdentical) {
+TEST(Batch, ResumeSkipsDoneEventsAndKeepsReportsByteIdentical) {
   test::TempDir tmp("batch");
   RealFileSystem fs;
   const auto input = tmp.path() / "input";
+  const auto spool = tmp.path() / "spool";
   const auto work = tmp.path() / "work";
-  for (const char* ev : {"ev1", "ev2", "ev3"}) build_event(fs, input / ev, 3);
+  const std::vector<std::string> events = {"ev1", "ev2", "ev3"};
+  for (const std::string& ev : events) build_event(fs, input / ev, 3);
 
-  const BatchConfig cfg = batch_config();
-  auto first = BatchRunner(fs, cfg).run(input, work);
-  ASSERT_TRUE(first.ok());
-
-  std::vector<std::string> canonical;
-  for (const char* ev : {"ev1", "ev2", "ev3"}) {
-    canonical.push_back(event_report(fs, first.value(), ev).canonical_dump());
+  const ServeConfig cfg = tree_config();
+  ASSERT_EQ(tree_run(fs, cfg, tmp.path()).stats.served, 3);
+  std::vector<std::string> reports, canonical;
+  for (const std::string& ev : events) {
+    reports.push_back(report_text(fs, work, ev));
+    canonical.push_back(event_report(fs, work, ev).canonical_dump());
   }
 
-  // Invalidate ev2's journal: a rerun must reprocess exactly that event.
-  ASSERT_TRUE(fs.remove_all(work / "journal" / "ev2.json").ok());
-  auto second = BatchRunner(fs, cfg).run(input, work);
-  ASSERT_TRUE(second.ok());
-  for (const EventOutcome& e : second.value().events) {
-    EXPECT_EQ(e.resumed, e.event != "ev2") << e.event;
-    EXPECT_EQ(e.status, "ok") << e.event;
-  }
-
-  // Completed events keep byte-identical canonical projections across
-  // the resume cycle — resumed or reprocessed alike.
-  for (std::size_t i = 0; i < 3; ++i) {
-    const std::string ev = "ev" + std::to_string(i + 1);
-    EXPECT_EQ(event_report(fs, second.value(), ev).canonical_dump(),
+  // Drop ev2's done/ entry: a rerun must run exactly that event again.
+  ASSERT_TRUE(fs.remove_all(spool / "done" / "ev2.json").ok());
+  const TreeRun second = tree_run(fs, cfg, tmp.path());
+  EXPECT_EQ(second.spooled, std::vector<std::string>{"ev2"});
+  EXPECT_EQ(second.stats.served, 1);
+  EXPECT_EQ(second.stats.ok, 1);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    // A skipped event's whole report, timings included, is untouched:
+    // it was not run again. The rerun one matches canonically.
+    if (events[i] != "ev2") {
+      EXPECT_EQ(report_text(fs, work, events[i]), reports[i]) << events[i];
+    }
+    EXPECT_EQ(event_report(fs, work, events[i]).canonical_dump(),
               canonical[i])
-        << ev;
+        << events[i];
   }
 
-  // A third run resumes everything: zero fresh work, zero throughput.
-  auto third = BatchRunner(fs, cfg).run(input, work);
-  ASSERT_TRUE(third.ok());
-  EXPECT_EQ(third.value().count_resumed(), 3);
-  EXPECT_EQ(third.value().records_per_second, 0);
+  // A done event whose work dir no longer validates runs again too.
+  const auto outs =
+      fs.list_dir(event_work_dir(work, "ev3", cfg.shards) / "out").value();
+  ASSERT_FALSE(outs.empty());
+  ASSERT_TRUE(fs.remove_all(outs.front()).ok());
+  const TreeRun third = tree_run(fs, cfg, tmp.path());
+  EXPECT_EQ(third.spooled, std::vector<std::string>{"ev3"});
+  EXPECT_EQ(event_report(fs, work, "ev3").canonical_dump(), canonical[2]);
+
+  // A fourth run finds everything done: nothing spooled, nothing served,
+  // and every skipped event reported with its status.
+  const TreeRun fourth = tree_run(fs, cfg, tmp.path());
+  EXPECT_TRUE(fourth.spooled.empty());
+  EXPECT_EQ(fourth.done, (std::vector<std::pair<std::string, std::string>>{
+                             {"ev1", "ok"}, {"ev2", "ok"}, {"ev3", "ok"}}));
+  EXPECT_EQ(fourth.stats.served, 0);
+  EXPECT_EQ(count_manifests(fs, spool / "done"), 3);
 }
 
 TEST(Batch, LargestFirstPriorityClaimsBiggestEventFirst) {
   test::TempDir tmp("batch");
   RealFileSystem fs;
   const auto input = tmp.path() / "input";
-  build_event(fs, input / "small", 2);
-  build_event(fs, input / "big", 8);
+  // One worker, and manifests claimed in name order: FIFO would run
+  // a-first, b-small, c-big. The whole tree is queued before the worker
+  // starts, so largest-first orders all of it.
+  build_event(fs, input / "a-first", 4);
+  build_event(fs, input / "b-small", 2);
+  build_event(fs, input / "c-big", 8);
 
-  BatchConfig cfg = batch_config();
-  cfg.priority = BatchConfig::Priority::kLargest;
-  auto run = BatchRunner(fs, cfg).run(input, tmp.path() / "work");
-  ASSERT_TRUE(run.ok());
-  EXPECT_EQ(run.value().priority, "largest");
-  EXPECT_EQ(run.value().count_status("ok"), 2);
+  ServeConfig cfg = tree_config();
+  cfg.priority = ServeConfig::Priority::kLargest;
+  const TreeRun run = tree_run(fs, cfg, tmp.path());
+  EXPECT_EQ(run.stats.ok, 3);
+  std::vector<std::string> order;
+  for (const ServeEventSample& s : run.stats.trajectory) {
+    order.push_back(s.event);
+  }
+  EXPECT_EQ(order,
+            (std::vector<std::string>{"c-big", "a-first", "b-small"}));
 }
 
 TEST(Deadline, SoftExpiryShedsEnrichmentStagesAndPublishesDegraded) {
@@ -532,98 +615,199 @@ TEST(Breaker, OpensAndRecoversAcrossARunAndLandsInTheReport) {
             report.breaker.half_open_recoveries);
 }
 
-TEST(Batch, DeadlinePressureDegradesEveryEventInTheBatchReport) {
+TEST(Breaker, FailedAtomicWriteCleanupNeitherResetsNorWaitsOnTheBreaker) {
+  test::TempDir tmp("breaker");
+  RealFileSystem fs;
+  // Every write fails torn, leaving a temporary for atomic_write_file to
+  // clean up.
+  faultfs::FaultConfig faults;
+  faults.write_fail_p = 1;
+  faultfs::FaultyFileSystem flaky(fs, faults);
+  storage::BreakerConfig bcfg;
+  bcfg.failure_threshold = 2;
+  bcfg.open_seconds = 60;
+  storage::CircuitBreaker breaker(bcfg);
+  storage::BreakerFileSystem guarded(flaky, breaker);
+
+  // Two failed writes in a row trip the breaker: the successful cleanup
+  // between them is not a success of the write path.
+  EXPECT_FALSE(atomic_write_file(guarded, tmp.path() / "a.txt", "abcd").ok());
+  EXPECT_EQ(breaker.state(), storage::CircuitBreaker::State::kClosed);
+  EXPECT_FALSE(atomic_write_file(guarded, tmp.path() / "a.txt", "abcd").ok());
+  EXPECT_EQ(breaker.state(), storage::CircuitBreaker::State::kOpen);
+  EXPECT_EQ(breaker.counters().opens, 1);
+  // The cleanup after the tripping write still ran: no torn temporary
+  // is left behind.
+  EXPECT_TRUE(fs.list_dir(tmp.path()).value_or({}).empty());
+}
+
+TEST(Batch, DeadlinePressureDegradesEveryEventInServeStats) {
   test::TempDir tmp("batch");
   RealFileSystem fs;
   const auto input = tmp.path() / "input";
-  const auto work = tmp.path() / "work";
   for (const char* ev : {"ev1", "ev2"}) build_event(fs, input / ev, 2);
 
-  BatchConfig cfg = batch_config();
+  ServeConfig cfg = tree_config();
   cfg.runner.driver = Driver::kSequentialOptimized;
   cfg.runner.deadline.soft_seconds = 0.5;
-  double t = 0;
-  cfg.runner.now = [&t] { return t += 1.0; };
+  auto ticks = std::make_shared<std::atomic<long long>>(0);
+  cfg.runner.now = [ticks] { return static_cast<double>(++*ticks); };
 
-  auto run = BatchRunner(fs, cfg).run(input, work);
-  ASSERT_TRUE(run.ok());
-  EXPECT_EQ(run.value().count_status("degraded"), 2);
-  for (const EventOutcome& e : run.value().events) {
-    EXPECT_EQ(e.records_degraded, 2) << e.event;
-    EXPECT_GT(e.points, 0) << e.event;
+  const TreeRun run = tree_run(fs, cfg, tmp.path());
+  EXPECT_EQ(run.stats.served, 2);
+  EXPECT_EQ(run.stats.degraded, 2);
+  EXPECT_EQ(run.stats.records_degraded, 4);
+  for (const char* ev : {"ev1", "ev2"}) {
+    const RunReport report = event_report(fs, tmp.path() / "work", ev);
+    EXPECT_EQ(report.count_degraded(), 2) << ev;
+    EXPECT_GT(report.total_points(), 0) << ev;
   }
+}
+
+TEST(TreeRun, FlattenedIdCollisionFailsNamingBothDirectoriesAndSpoolsNothing) {
+  test::TempDir tmp("tree");
+  RealFileSystem fs;
+  const auto input = tmp.path() / "input";
+  const auto spool = tmp.path() / "spool";
+  // a/b and a_b both flatten to event id a_b.
+  build_event(fs, input / "a" / "b", 2);
+  build_event(fs, input / "a_b", 3);
+
+  auto spooled =
+      spool_tree(fs, tree_config(), input, spool, tmp.path() / "work");
+  ASSERT_FALSE(spooled.ok()) << "two directories merged into one event";
+  EXPECT_EQ(spooled.error().code, IoError::Code::kEventIdCollision);
+  EXPECT_NE(spooled.error().detail.find((input / "a" / "b").string()),
+            std::string::npos)
+      << spooled.error().detail;
+  EXPECT_NE(spooled.error().detail.find((input / "a_b").string()),
+            std::string::npos)
+      << spooled.error().detail;
+  EXPECT_EQ(count_manifests(fs, spool), 0);
+  EXPECT_FALSE(fs.exists(spool / kServeShutdownSentinel));
+}
+
+TEST(TreeRun, RecordsAtTheRootCollideWithASubdirectoryNamedRoot) {
+  test::TempDir tmp("tree");
+  RealFileSystem fs;
+  const auto input = tmp.path() / "input";
+  build_event(fs, input, 2);
+  build_event(fs, input / "root", 2);
+
+  auto found = discover_events(fs, tree_config().runner, input);
+  ASSERT_FALSE(found.ok());
+  EXPECT_EQ(found.error().code, IoError::Code::kEventIdCollision);
+  EXPECT_NE(found.error().detail.find("'root'"), std::string::npos)
+      << found.error().detail;
+  EXPECT_NE(found.error().detail.find((input / "root").string()),
+            std::string::npos)
+      << found.error().detail;
+}
+
+TEST(TreeRun, AnIdTheSpoolRefusesIsRejectedWhileTheOtherEventsRun) {
+  test::TempDir tmp("tree");
+  RealFileSystem fs;
+  const auto input = tmp.path() / "input";
+  const auto spool = tmp.path() / "spool";
+  build_event(fs, input / "ev 1", 2);
+  build_event(fs, input / "ev2", 2);
+
+  const TreeRun run = tree_run(fs, tree_config(), tmp.path());
+  EXPECT_EQ(run.spooled, (std::vector<std::string>{"ev 1", "ev2"}));
+  EXPECT_EQ(run.stats.served, 1);
+  EXPECT_EQ(run.stats.ok, 1);
+  EXPECT_EQ(run.stats.malformed, 1);
+  EXPECT_TRUE(fs.exists(spool / "rejected" / "ev 1.json"));
+  EXPECT_EQ(fs.read_file(spool / "rejected" / "ev 1.json.reason").value_or(""),
+            "missing or invalid event id\n");
+  EXPECT_TRUE(fs.exists(spool / "done" / "ev2.json"));
 }
 
 // --- Kill-and-resume: the crash contract, against the real binary ------
 
-#ifdef ACX_BATCH_TOOL
+#ifdef ACX_SERVE_TOOL
 int run_tool(const std::string& args) {
   const std::string cmd =
-      std::string(ACX_BATCH_TOOL) + " " + args + " > /dev/null 2>&1";
+      std::string(ACX_SERVE_TOOL) + " " + args + " > /dev/null 2>&1";
   const int status = std::system(cmd.c_str());
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+// `acx_serve --input` over <root>/input, spooling into <root>/<tag>-spool
+// and working in <root>/<tag>-work.
+std::string tree_args(const stdfs::path& root, const std::string& tag) {
+  return "--input " + (root / "input").string() + " --spool " +
+         (root / (tag + "-spool")).string() + " --work " +
+         (root / (tag + "-work")).string() +
+         " --driver seq --event-workers 1 --shards 1 --priority fifo";
+}
+
+// After a drain: every manifest in done/, none claimed or left in the
+// spool root, the sentinel consumed.
+void expect_drained(FileSystem& fs, const stdfs::path& spool, int events) {
+  EXPECT_EQ(count_manifests(fs, spool / "done"), events);
+  EXPECT_EQ(count_manifests(fs, spool / "claimed"), 0);
+  int left = 0;
+  for (const stdfs::path& p : fs.list_dir(spool).value_or({})) {
+    if (p.extension() == ".json") ++left;
+  }
+  EXPECT_EQ(left, 0);
+  EXPECT_FALSE(fs.exists(spool / kServeShutdownSentinel));
 }
 
 TEST(KillResume, MidBatchProcessDeathResumesWithByteIdenticalReports) {
   test::TempDir tmp("killresume");
   RealFileSystem fs;
   const auto input = tmp.path() / "input";
-  // Event sizes stagger the kill: ev_a (2 records) completes and
-  // journals; ev_b (4 records) draws the 3rd write_v2 invocation of its
-  // own run and dies mid-event.
+  // Event sizes stagger the kill: ev_a (2 records) completes and lands
+  // in done/; ev_b (4 records) draws the 3rd write_v2 invocation of its
+  // own run and dies mid-event, with ev_c claimed behind it.
   build_event(fs, input / "ev_a", 2);
   build_event(fs, input / "ev_b", 4);
   build_event(fs, input / "ev_c", 3);
+  const auto spool = tmp.path() / "crash-spool";
+  const auto work = tmp.path() / "crash-work";
+  const auto clean_work = tmp.path() / "clean-work";
 
-  const std::string common = "--input " + input.string() +
-                             " --driver seq --event-workers 1 --shards 1 "
-                             "--priority fifo";
-  const auto work = tmp.path() / "work";
-  const auto baseline_work = tmp.path() / "work-clean";
+  // Fault-free reference run into its own spool and work root.
+  ASSERT_EQ(run_tool(tree_args(tmp.path(), "clean")), 0);
 
-  // Fault-free reference run into its own work root.
-  ASSERT_EQ(run_tool(common + " --work " + baseline_work.string()), 0);
-
-  // Crash run: the process dies (exit 137, no journal for ev_b/ev_c).
-  ASSERT_EQ(run_tool(common + " --work " + work.string() +
+  // Crash run: the process dies (exit 137) with ev_b and ev_c claimed.
+  ASSERT_EQ(run_tool(tree_args(tmp.path(), "crash") +
                      " --kill-stage write_v2 --kill-on 3"),
             137);
-  EXPECT_TRUE(fs.exists(work / "journal" / "ev_a.json"));
-  EXPECT_FALSE(fs.exists(work / "journal" / "ev_b.json"));
-  EXPECT_FALSE(fs.exists(work / kBatchReportFileName));
+  EXPECT_TRUE(fs.exists(spool / "done" / "ev_a.json"));
+  EXPECT_FALSE(fs.exists(spool / "done" / "ev_b.json"));
+  EXPECT_EQ(count_manifests(fs, spool / "claimed"), 2);
+  const std::string ev_a_report = report_text(fs, work, "ev_a", 1);
 
-  // Resume: ev_a is skipped off its journal, the survivors reprocess.
-  ASSERT_EQ(run_tool(common + " --work " + work.string()), 0);
-  auto text = fs.read_file(work / kBatchReportFileName);
-  ASSERT_TRUE(text.ok());
-  auto report = BatchReport::from_json_text(text.value());
-  ASSERT_TRUE(report.ok()) << report.error();
-  ASSERT_EQ(report.value().events.size(), 3u);
-  EXPECT_EQ(report.value().count_status("ok"), 3) << "no event may be lost";
-  EXPECT_EQ(report.value().count_resumed(), 1);
-  for (const EventOutcome& e : report.value().events) {
-    EXPECT_EQ(e.resumed, e.event == "ev_a") << e.event;
-  }
+  // Resume with the same command: ev_a is skipped off done/, the dead
+  // instance's claims are reclaimed and served.
+  ASSERT_EQ(run_tool(tree_args(tmp.path(), "crash")), 0);
+  expect_drained(fs, spool, 3);
+  EXPECT_EQ(report_text(fs, work, "ev_a", 1), ev_a_report)
+      << "a skipped event must not run again";
+  auto stats = Json::parse(fs.read_file(work / kServeStatsFileName).value());
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats.value().find("events")->get_number("served", -1), 2);
+  EXPECT_EQ(stats.value().find("events")->get_number("ok", -1), 2);
 
   // Every event's canonical report is byte-identical to the fault-free
-  // run — resumed and reprocessed alike.
+  // run — skipped and reprocessed alike.
   for (const char* ev : {"ev_a", "ev_b", "ev_c"}) {
-    const stdfs::path rel = stdfs::path("events") / "s0" / ev /
-                            kRunReportFileName;
-    auto crashed = fs.read_file(work / rel);
-    auto clean = fs.read_file(baseline_work / rel);
-    ASSERT_TRUE(crashed.ok() && clean.ok()) << ev;
-    auto a = RunReport::from_json_text(crashed.value());
-    auto b = RunReport::from_json_text(clean.value());
-    ASSERT_TRUE(a.ok() && b.ok()) << ev;
-    EXPECT_EQ(a.value().canonical_dump(), b.value().canonical_dump()) << ev;
+    EXPECT_EQ(event_report(fs, work, ev, 1).canonical_dump(),
+              event_report(fs, clean_work, ev, 1).canonical_dump())
+        << ev;
   }
 }
+
 // The acceptance storm: modeled latency + 10% seeded op faults + a
-// mid-batch kill, then a resume under the same fault model. No event
-// may be lost — each ends ok/degraded/quarantined with typed reasons —
-// and any event that ends ok must be canonically byte-identical to the
-// fault-free run. Everything is seeded, so outcomes are deterministic.
+// mid-run kill, then a resume under the same fault model. No event may
+// be lost — each ends in done/ as ok/degraded/quarantined, or with a
+// reason note when its run failed — and any event that ends ok must be
+// canonically byte-identical to the fault-free run. Everything is
+// seeded, and with one event worker every spool claim precedes the
+// first event, so outcomes are deterministic.
 TEST(KillResume, SeededFaultStormLosesNoEventsAndKeepsOkReportsCanonical) {
   test::TempDir tmp("storm");
   RealFileSystem fs;
@@ -631,64 +815,85 @@ TEST(KillResume, SeededFaultStormLosesNoEventsAndKeepsOkReportsCanonical) {
   build_event(fs, input / "ev_a", 2);
   build_event(fs, input / "ev_b", 4);
   build_event(fs, input / "ev_c", 3);
-
-  const std::string common = "--input " + input.string() +
-                             " --driver seq --event-workers 1 --shards 1 "
-                             "--priority fifo";
   const std::string storm =
       " --storage-latency-ms 1 --storage-jitter-ms 1"
       " --storage-fail-p 0.1 --storage-seed 40 --max-retries 8"
       " --breaker-threshold 2 --breaker-open-s 0 --breaker-probes 1"
       " --jitter-seed 5";
-  const auto work = tmp.path() / "work";
-  const auto baseline_work = tmp.path() / "work-clean";
+  const auto spool = tmp.path() / "storm-spool";
+  const auto work = tmp.path() / "storm-work";
+  const auto clean_work = tmp.path() / "clean-work";
 
-  ASSERT_EQ(run_tool(common + " --work " + baseline_work.string()), 0);
-
-  ASSERT_EQ(run_tool(common + storm + " --work " + work.string() +
+  ASSERT_EQ(run_tool(tree_args(tmp.path(), "clean")), 0);
+  ASSERT_EQ(run_tool(tree_args(tmp.path(), "storm") + storm +
                      " --kill-stage write_v2 --kill-on 3"),
             137);
-  EXPECT_FALSE(fs.exists(work / kBatchReportFileName));
-
-  const int exit = run_tool(common + storm + " --work " + work.string());
+  const int exit = run_tool(tree_args(tmp.path(), "storm") + storm);
   EXPECT_TRUE(exit == 0 || exit == 3) << "resume exit " << exit;
-  auto text = fs.read_file(work / kBatchReportFileName);
-  ASSERT_TRUE(text.ok());
-  auto report = BatchReport::from_json_text(text.value());
-  ASSERT_TRUE(report.ok()) << report.error();
-  const BatchReport& batch = report.value();
+  expect_drained(fs, spool, 3);
 
-  ASSERT_EQ(batch.events.size(), 3u) << "an event was lost";
-  for (const EventOutcome& e : batch.events) {
-    EXPECT_TRUE(e.status == "ok" || e.status == "degraded" ||
-                e.status == "quarantined")
-        << e.event << ": " << e.status;
-  }
-  // 10% faults against a 2-consecutive-failure threshold trip the
-  // breaker at least once, and the zero-cooldown probe recovers it.
-  EXPECT_GE(batch.breaker.opens, 1);
-  EXPECT_GE(batch.breaker.half_open_recoveries, 1);
-
-  // Whatever survived as "ok" must be indistinguishable from a run
-  // that never saw a fault.
   int ok_events = 0;
-  for (const EventOutcome& e : batch.events) {
-    if (e.status != "ok") continue;
+  for (const char* ev : {"ev_a", "ev_b", "ev_c"}) {
+    const stdfs::path dir = event_work_dir(work, ev, 1);
+    if (!fs.exists(dir / kRunReportFileName)) {
+      // The run itself failed: its done/ note names the reason.
+      EXPECT_FALSE(
+          fs.read_file(spool / "done" / (std::string(ev) + ".json.reason"))
+              .value_or("")
+              .empty())
+          << ev << " has neither a report nor a reason";
+      continue;
+    }
+    const RunReport report = event_report(fs, work, ev, 1);
+    const std::string status = report.status();
+    EXPECT_TRUE(status == "ok" || status == "degraded" ||
+                status == "quarantined")
+        << ev << ": " << status;
+    if (status != "ok") continue;
+    // Whatever survived as "ok" must be indistinguishable from a run
+    // that never saw a fault.
     ++ok_events;
-    const stdfs::path rel = stdfs::path("events") / "s0" / e.event /
-                            kRunReportFileName;
-    auto stormy = fs.read_file(work / rel);
-    auto clean = fs.read_file(baseline_work / rel);
-    ASSERT_TRUE(stormy.ok() && clean.ok()) << e.event;
-    auto a = RunReport::from_json_text(stormy.value());
-    auto b = RunReport::from_json_text(clean.value());
-    ASSERT_TRUE(a.ok() && b.ok()) << e.event;
-    EXPECT_EQ(a.value().canonical_dump(), b.value().canonical_dump())
-        << e.event;
+    EXPECT_EQ(report.canonical_dump(),
+              event_report(fs, clean_work, ev, 1).canonical_dump())
+        << ev;
   }
   EXPECT_GE(ok_events, 1) << "the storm should not wipe out every event";
+
+  // 10% faults against a 2-consecutive-failure threshold trip the
+  // breaker at least once, and the zero-cooldown probe recovers it.
+  auto stats = Json::parse(fs.read_file(work / kServeStatsFileName).value());
+  ASSERT_TRUE(stats.ok());
+  auto breaker = breaker_from_json(stats.value());
+  ASSERT_TRUE(breaker.ok()) << breaker.error();
+  EXPECT_GE(breaker.value().opens, 1);
+  EXPECT_GE(breaker.value().half_open_recoveries, 1);
 }
-#endif  // ACX_BATCH_TOOL
+// A rerun serves nothing new, but the tree's outcome still counts the
+// events it skips: a degraded event in done/ keeps the exit code at 3.
+TEST(TreeRun, ARerunStillExitsThreeForAnAlreadyDoneDegradedEvent) {
+  test::TempDir tmp("tree");
+  RealFileSystem fs;
+  build_event(fs, tmp.path() / "input" / "ev1", 2);
+  build_event(fs, tmp.path() / "input" / "ev2", 2);
+  const auto work = tmp.path() / "t-work";
+
+  // An expired soft budget sheds the enrichment stages: degraded.
+  ASSERT_EQ(run_tool(tree_args(tmp.path(), "t") + " --soft-deadline-s 1e-9"),
+            3);
+  for (const char* ev : {"ev1", "ev2"}) {
+    EXPECT_STREQ(event_report(fs, work, ev, 1).status(), "degraded") << ev;
+  }
+  const std::string report = report_text(fs, work, "ev1", 1);
+
+  // Rerun with no budget: nothing runs again, and the exit still says
+  // the tree is not all ok.
+  EXPECT_EQ(run_tool(tree_args(tmp.path(), "t")), 3);
+  EXPECT_EQ(report_text(fs, work, "ev1", 1), report);
+  auto stats = Json::parse(fs.read_file(work / kServeStatsFileName).value());
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats.value().find("events")->get_number("served", -1), 0);
+}
+#endif  // ACX_SERVE_TOOL
 
 }  // namespace
 }  // namespace acx::pipeline

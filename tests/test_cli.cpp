@@ -1,6 +1,6 @@
 // The flag-table parser every acx_* tool shares (tools/cli.hpp): values,
 // switches, optional values, required flags, typed rejects, and the
-// runner table acx_batch and acx_serve parse.
+// runner table acx_serve parses.
 
 #include <gtest/gtest.h>
 
@@ -63,7 +63,7 @@ TEST(Cli, RejectsUnknownFlagsBadValuesAndMissingRequiredFlags) {
 }
 
 TEST(Cli, RunnerTableConfiguresTheEngineStorageModelAndCrashHook) {
-  pipeline::EngineConfig cfg;
+  pipeline::ServeConfig cfg;
   std::string work;
   StorageModel model;
   std::vector<const char*> args = {"tool",
@@ -88,7 +88,7 @@ TEST(Cli, RunnerTableConfiguresTheEngineStorageModelAndCrashHook) {
   EXPECT_EQ(cfg.event_workers, 3);
   EXPECT_EQ(cfg.queue_capacity, 5u);
   EXPECT_EQ(cfg.shards, 7);
-  EXPECT_EQ(cfg.priority, pipeline::EngineConfig::Priority::kLargest);
+  EXPECT_EQ(cfg.priority, pipeline::ServeConfig::Priority::kLargest);
   EXPECT_EQ(cfg.runner.retry.max_attempts, 7);
   EXPECT_DOUBLE_EQ(model.fail_p, 0.05);
   EXPECT_EQ(model.seed, 42u);

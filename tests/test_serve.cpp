@@ -1,6 +1,7 @@
 // The resident service layer (pipeline/serve.hpp): spool admission by
-// atomic rename, malformed/duplicate rejection with audit notes,
-// drain-first shutdown via the sentinel, the serve_stats.json schema,
+// atomic rename, malformed/duplicate rejection with audit notes, the
+// done/ note of a run that failed, drain-first shutdown via the
+// sentinel, the serve_stats.json schema,
 // the plan-cache amortization the shared WorkPool exists for, and the
 // crash contract (dead-owner reclaim, spawning the real acx_serve binary
 // and killing it mid-stream).
@@ -19,7 +20,6 @@
 #include <thread>
 #include <vector>
 
-#include "pipeline/batch.hpp"
 #include "pipeline/serve.hpp"
 #include "pipeline/validate.hpp"
 #include "synth/synth.hpp"
@@ -64,18 +64,9 @@ int count_manifests(FileSystem& fs, const stdfs::path& dir) {
   return n;
 }
 
-// The served event's work dir: events/s<shard>/<event> for some shard.
-stdfs::path served_dir(FileSystem& fs, const stdfs::path& work,
-                       const std::string& event) {
-  for (int s = 0; s < 16; ++s) {
-    std::string shard = "s";
-    shard += std::to_string(s);
-    if (fs.exists(work / "events" / shard / event)) {
-      return work / "events" / shard / event;
-    }
-  }
-  ADD_FAILURE() << "no work dir for " << event;
-  return {};
+// The served event's work dir: the shard admit() gave it.
+stdfs::path served_dir(const stdfs::path& work, const std::string& event) {
+  return event_work_dir(work, event, ServeConfig{}.shards);
 }
 
 RunReport read_report(FileSystem& fs, const stdfs::path& dir) {
@@ -432,31 +423,49 @@ TEST(Serve, RejectPathRetriesAndWritesWholeNotesUnderSeededStorageFaults) {
   }
 }
 
-TEST(Serve, RecordCountsAgreeAcrossRunReportBatchRowAndServeStats) {
+TEST(Serve, AFailedScanIsNeverTakenForAnEmptySpool) {
+  // Manifests and the sentinel are in place before the service starts,
+  // as a tree run leaves them. Every attempt of the first scan fails:
+  // that scan saw nothing, so it must not honor the sentinel, and the
+  // next scan claims and serves all of them.
+  test::TempDir tmp("serve");
+  RealFileSystem fs;
+  const auto input = tmp.path() / "input";
+  const auto spool = tmp.path() / "spool";
+  build_event(fs, input, 2);
+  ASSERT_TRUE(fs.create_directories(spool).ok());
+  for (const char* ev : {"ev-a", "ev-b"}) {
+    drop_manifest(fs, spool, std::string(ev) + ".json",
+                  manifest_body(ev, input));
+  }
+  ASSERT_TRUE(fs.write_file(spool / kServeShutdownSentinel, "").ok());
+
+  faultfs::FaultConfig faults;
+  faults.list_fail_first_n = 3;  // both attempts of scan 1, then one retry
+  faultfs::FaultyFileSystem flaky(fs, faults);
+  WorkPool pool(1);
+  ServeConfig cfg = serve_config(&pool);
+  cfg.runner.retry.max_attempts = 2;
+  auto run = SpoolServer(flaky, cfg).run(spool, tmp.path() / "work");
+  ASSERT_TRUE(run.ok()) << run.error().to_string();
+  EXPECT_EQ(run.value().scan_errors, 1);
+  EXPECT_EQ(run.value().served, 2);
+  EXPECT_EQ(count_manifests(fs, spool / "done"), 2);
+  EXPECT_FALSE(fs.exists(spool / kServeShutdownSentinel));
+  pool.shutdown();
+}
+
+TEST(Serve, RecordCountsAgreeAcrossRunReportAndServeStats) {
   // An expired soft deadline sheds every record's enrichment stages, so
   // each record is both ok and degraded. The run report's definition —
   // degraded records are ok records, ok + quarantined = records — must
-  // read the same in run_report.json, the batch row and serve_stats.
+  // read the same in run_report.json and serve_stats.json.
   test::TempDir tmp("serve");
   RealFileSystem fs;
   const auto input = tmp.path() / "input";
   build_event(fs, input / "ev", 3);
   auto ticks = std::make_shared<std::atomic<long long>>(0);
   const NowFn clock = [ticks] { return static_cast<double>(++*ticks); };
-
-  BatchConfig bcfg;
-  bcfg.runner.sleep = [](int) {};
-  bcfg.runner.now = clock;
-  bcfg.runner.deadline.soft_seconds = 0.5;
-  auto batch = BatchRunner(fs, bcfg).run(input, tmp.path() / "batch-work");
-  ASSERT_TRUE(batch.ok()) << batch.error().to_string();
-  ASSERT_EQ(batch.value().events.size(), 1u);
-  const EventOutcome& row = batch.value().events[0];
-  const RunReport batch_run = read_report(fs, row.work_dir);
-  EXPECT_EQ(batch_run.count_degraded(), 3);
-  EXPECT_EQ(row.records_ok, batch_run.count_ok());
-  EXPECT_EQ(row.records_degraded, batch_run.count_degraded());
-  EXPECT_EQ(row.records_quarantined, batch_run.count_quarantined());
 
   const auto spool = tmp.path() / "spool";
   const auto work = tmp.path() / "serve-work";
@@ -469,7 +478,7 @@ TEST(Serve, RecordCountsAgreeAcrossRunReportBatchRowAndServeStats) {
   scfg.runner.deadline.soft_seconds = 0.5;
   auto served = SpoolServer(fs, scfg).run(spool, work);
   ASSERT_TRUE(served.ok()) << served.error().to_string();
-  const RunReport serve_run = read_report(fs, served_dir(fs, work, "ev"));
+  const RunReport serve_run = read_report(fs, served_dir(work, "ev"));
   EXPECT_EQ(serve_run.count_degraded(), 3);
   auto text = fs.read_file(work / kServeStatsFileName);
   ASSERT_TRUE(text.ok());
@@ -481,6 +490,44 @@ TEST(Serve, RecordCountsAgreeAcrossRunReportBatchRowAndServeStats) {
   EXPECT_EQ(records->get_number("degraded", -1), serve_run.count_degraded());
   EXPECT_EQ(records->get_number("quarantined", -1),
             serve_run.count_quarantined());
+  pool.shutdown();
+}
+
+TEST(Serve, RunLevelFailureLeavesItsReasonInDoneUntilARerunSucceeds) {
+  // A manifest whose input directory does not exist: the event is
+  // reported quarantined and its manifest reaches done/, with a note
+  // naming why, since no run report was written.
+  test::TempDir tmp("serve");
+  RealFileSystem fs;
+  const auto input = tmp.path() / "input";
+  const auto spool = tmp.path() / "spool";
+  const auto work = tmp.path() / "work";
+  ASSERT_TRUE(fs.create_directories(spool).ok());
+  drop_manifest(fs, spool, "gone.json", manifest_body("gone", input));
+  ASSERT_TRUE(fs.write_file(spool / kServeShutdownSentinel, "").ok());
+
+  WorkPool pool(2);
+  auto run = SpoolServer(fs, serve_config(&pool)).run(spool, work);
+  ASSERT_TRUE(run.ok()) << run.error().to_string();
+  EXPECT_EQ(run.value().served, 1);
+  EXPECT_EQ(run.value().quarantined, 1);
+  EXPECT_TRUE(fs.exists(spool / "done" / "gone.json"));
+  const std::string note =
+      fs.read_file(spool / "done" / "gone.json.reason").value_or("");
+  EXPECT_EQ(note.rfind("io.", 0), 0u) << note;
+  EXPECT_EQ(note.back(), '\n') << note;
+  EXPECT_FALSE(fs.exists(served_dir(work, "gone") / kRunReportFileName));
+
+  // Once the input exists, a rerun of the same manifest succeeds and
+  // leaves no stale note behind.
+  build_event(fs, input, 2);
+  drop_manifest(fs, spool, "gone.json", manifest_body("gone", input));
+  ASSERT_TRUE(fs.write_file(spool / kServeShutdownSentinel, "").ok());
+  auto rerun = SpoolServer(fs, serve_config(&pool)).run(spool, work);
+  ASSERT_TRUE(rerun.ok()) << rerun.error().to_string();
+  EXPECT_EQ(rerun.value().ok, 1);
+  EXPECT_TRUE(fs.exists(spool / "done" / "gone.json"));
+  EXPECT_FALSE(fs.exists(spool / "done" / "gone.json.reason"));
   pool.shutdown();
 }
 
@@ -533,7 +580,7 @@ TEST(KillRestart, KilledServiceRestartsAndServesEveryManifestExactlyOnce) {
     const std::string ev = "ev-" + std::to_string(i);
     EXPECT_TRUE(fs.exists(spool / "done" / (ev + ".json"))) << ev;
     EXPECT_FALSE(fs.exists(spool / (ev + ".json"))) << ev;
-    EXPECT_TRUE(validate_workdir(fs, served_dir(fs, work, ev)).clean()) << ev;
+    EXPECT_TRUE(validate_workdir(fs, served_dir(work, ev)).clean()) << ev;
   }
 }
 #endif  // ACX_SERVE_TOOL

@@ -44,7 +44,7 @@ bool parse_flags(int argc, char** argv, const std::vector<Flag>& flags) {
 }
 
 bool parse_runner_flags(int argc, char** argv, std::vector<Flag> own,
-                        pipeline::EngineConfig& cfg, std::string& work,
+                        pipeline::ServeConfig& cfg, std::string& work,
                         StorageModel& model) {
   pipeline::RunnerConfig& r = cfg.runner;
   int retries = r.retry.max_attempts - 1;
@@ -82,7 +82,7 @@ bool parse_runner_flags(int argc, char** argv, std::vector<Flag> own,
 }
 
 StorageStack::StorageStack(const StorageModel& model,
-                           pipeline::EngineConfig& cfg)
+                           pipeline::ServeConfig& cfg)
     : breaker_(model.breaker) {
   FileSystem* backend = &real_;
   if (model.fail_p > 0) {

@@ -1,9 +1,8 @@
 #pragma once
 
 // The command-line layer of the acx_* tools: one flag-table parser, plus
-// the flag table and modeled storage stack acx_batch and acx_serve
-// share (engine, deadline, retry, storage-model, breaker and crash-hook
-// options).
+// acx_serve's runner flag table and modeled storage stack (engine,
+// deadline, retry, storage-model, breaker and crash-hook options).
 
 #include <climits>
 #include <cmath>
@@ -14,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "pipeline/engine.hpp"
+#include "pipeline/serve.hpp"
 #include "util/breaker.hpp"
 #include "util/faultfs.hpp"
 #include "util/slowfs.hpp"
@@ -85,7 +84,7 @@ struct StorageModel {
 // parse_flags over the tool's `own` flags plus the shared runner table
 // (--work DIR required).
 bool parse_runner_flags(int argc, char** argv, std::vector<Flag> own,
-                        pipeline::EngineConfig& cfg, std::string& work,
+                        pipeline::ServeConfig& cfg, std::string& work,
                         StorageModel& model);
 
 // Real -> Faulty (--storage-fail-p) -> Slow (--storage-latency-ms)
@@ -94,7 +93,7 @@ bool parse_runner_flags(int argc, char** argv, std::vector<Flag> own,
 // counter deltas.
 class StorageStack {
  public:
-  StorageStack(const StorageModel& model, pipeline::EngineConfig& cfg);
+  StorageStack(const StorageModel& model, pipeline::ServeConfig& cfg);
   FileSystem& fs() { return *top_; }
 
  private:
